@@ -56,7 +56,7 @@ from .constructions import (
     two_colour_extremal,
 )
 from .graphs import EdgeColouredGraph, build, from_simple_graph, monochromatic_complete
-from .lp import Infeasible, LPError, LPSolution, Unbounded, solve_lp_exact
+from .lp import AuditFailure, Infeasible, LPError, LPSolution, Unbounded, solve_lp_exact
 from .search import SearchReport, exists_enabling, min_n
 
 __version__ = "0.1.0"
@@ -64,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_CLIQUES",
     "PER_VERTEX_LEX",
+    "AuditFailure",
     "BoundReport",
     "CertificationResult",
     "CliqueFamily",

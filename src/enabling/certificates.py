@@ -123,7 +123,8 @@ def compute_delta(
     sol = solve_lp_exact(objective, constraints)
     delta = sol.value
     lam = VertexMeasure(sol.primal[:n])
-    assert min(lam.mass(c) for c in fam.cliques) == delta
+    if min(lam.mass(c) for c in fam.cliques) != delta:
+        raise LemmaViolation(f"the maximiser does not give every clique mass {delta}")
     if delta < Fraction(fam.k, n):
         raise LemmaViolation(
             f"delta {delta} fell below the uniform-measure floor {fam.k}/{n}"
@@ -186,8 +187,8 @@ def construct_mu(
             f"it must reach 1 when delta={delta} is exact"
         )
     mu = FamilyMeasure(tuple(w / total for w in sol.primal))
-    for mass in mu_vertex_masses(g.n, fam, mu):
-        assert mass <= delta
+    if max(mu_vertex_masses(g.n, fam, mu)) > delta:
+        raise LemmaViolation(f"a mu vertex mass exceeds delta={delta}")
     return mu
 
 
@@ -208,13 +209,17 @@ def check_pairwise_intersections(fam1: CliqueFamily, fam2: CliqueFamily) -> bool
     vertex.  Families must have distinct colours."""
     if fam1.colour == fam2.colour:
         raise ValueError("pairwise intersection check needs distinct colours")
-    sets2 = [frozenset(c) for c in fam2.cliques]
-    for c1 in fam1.cliques:
-        s1 = frozenset(c1)
-        for s2 in sets2:
-            if len(s1 & s2) > 1:
-                return False
-    return True
+    return _max_intersection(fam1.cliques, fam2.cliques) <= 1
+
+
+def _max_intersection(
+    cliques1: Sequence[Sequence[int]], cliques2: Sequence[Sequence[int]]
+) -> int:
+    """Most vertices a clique of cliques1 shares with one of cliques2."""
+    sets2 = [frozenset(c) for c in cliques2]
+    return max(
+        (len(s2.intersection(c1)) for c1 in cliques1 for s2 in sets2), default=0
+    )
 
 
 def support_clique_check(
@@ -407,19 +412,12 @@ def certify(
                     f"mu-mass product sum for colours "
                     f"({ci.colour}, {cj.colour}) is {psum} > 1"
                 )
-            if not check_pairwise_intersections(ci.family, cj.family):
+            inter = _max_intersection(ci.family.cliques, cj.family.cliques)
+            if inter > 1:
                 raise LemmaViolation(
                     f"cliques of colours {ci.colour} and {cj.colour} "
                     f"share two or more vertices"
                 )
-            inter = max(
-                (
-                    len(set(x) & set(y))
-                    for x in ci.family.cliques
-                    for y in cj.family.cliques
-                ),
-                default=0,
-            )
             pairwise.append(
                 PairwiseCheck(
                     colours=(ci.colour, cj.colour),
@@ -568,14 +566,7 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
         )
         if psum != p["mu_product_sum"] or psum > 1:
             issues.append(f"pairwise ({i}, {j}): mu product sum wrong or above 1")
-        inter = max(
-            (
-                len(set(x) & set(y))
-                for x in ci["cliques"]
-                for y in cj["cliques"]
-            ),
-            default=0,
-        )
+        inter = _max_intersection(ci["cliques"], cj["cliques"])
         if inter != p["max_intersection"] or inter > 1:
             issues.append(f"pairwise ({i}, {j}): intersection bound violated")
     certs = cert["certificates"]

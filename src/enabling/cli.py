@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import bounds, certificates, constructions
+from . import bounds, certificates, constructions, lp
 from .cliques import ALL_CLIQUES, PER_VERTEX_LEX, verify_enabling
 from .graphs import EdgeColouredGraph, from_simple_graph
 from .search import exists_enabling, min_n
@@ -258,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the enabling property")
     p.add_argument("--graph", required=True, help="graph JSON file, - for stdin")
     p.add_argument("--targets", required=True, help='e.g. "0:3,1:9"')
-    p.add_argument("--jobs", type=int, default=1, help="accepted; runs sequentially")
     add_output(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -291,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include elapsed seconds in the JSON output")
     p.add_argument("--witness-out", help="write the witness graph JSON here")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    p.add_argument("--jobs", type=int, default=1, help="accepted; runs sequentially")
     add_output(p)
     p.set_defaults(func=_cmd_search)
 
@@ -316,7 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except certificates.NotEnabling as exc:
         _log(f"not enabling: {exc}", error=True)
         return 1
-    except (certificates.LemmaViolation, AssertionError) as exc:
+    except (certificates.LemmaViolation, lp.AuditFailure, AssertionError) as exc:
         _log(f"invariant falsified: {exc}", error=True)
         return 3
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

@@ -1,28 +1,33 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase tableau simplex with Bland's pivot rule (smallest eligible
+A two-phase tableau simplex with Bland's pivot rule (smallest eligible
 index, ties by smallest basic variable), which terminates on degenerate
-problems.  The tableau is kept fraction-free: entries are integers over one
-positive denominator, and every pivot divides exactly by the previous pivot
-element, so no rounding of any kind occurs.
+problems.  The tableau is sparse and fraction-free: each row, and the
+objective row, is a dict of its nonzero integer numerators over its own
+positive denominator, kept in lowest terms.  A pivot leaves every row with a
+zero in the pivot column untouched and touches only the nonzeros of the
+others, and no rounding of any kind occurs.
 
-Every solve re-checks its own answer from scratch: primal feasibility, dual
-feasibility, dual sign conditions and equality of the primal and dual
-objective values are verified with Fraction arithmetic against the original
-input before the solution is returned.
+Every solve re-checks its own answer from scratch against the input rows,
+never the tableau: primal feasibility, dual signs, dual feasibility and
+strong duality (equal primal and dual objective values) are verified with
+integer dot products over the nonzeros, the primal put over one common
+denominator and the duals over another.  A failed check raises
+AuditFailure, so ``python -O`` does not remove it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "EQ",
     "GE",
     "LE",
+    "AuditFailure",
     "Infeasible",
     "LPError",
     "LPSolution",
@@ -53,6 +58,10 @@ class Unbounded(LPError):
     """The objective is unbounded over the feasible region."""
 
 
+class AuditFailure(LPError):
+    """A returned solution failed the independent optimality audit."""
+
+
 @dataclass(frozen=True)
 class LPSolution:
     """An optimal vertex together with matching dual multipliers.
@@ -70,79 +79,98 @@ class LPSolution:
 Constraint = tuple[Sequence, str, object]
 
 
+class _Problem(NamedTuple):
+    """A maximisation problem scaled to integers.
+
+    Row i reads ``rows[i] . x  rels[i]  rhs[i]``: the given row times
+    ``den[i] > 0``, with only its nonzero coefficients stored.  The given
+    objective is ``c / c_den``.
+    """
+
+    c: list[int]
+    c_den: int
+    rows: list[dict[int, int]]
+    rels: list[str]
+    rhs: list[int]
+    den: list[int]
+
+
+def _rational(x) -> int | Fraction:
+    # Ints and Fractions both carry .numerator and .denominator already.
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _scale(values: Sequence, den: int) -> list[int]:
+    return [a.numerator * (den // a.denominator) for a in values]
+
+
 def solve_lp_exact(
     objective: Sequence, constraints: Sequence[Constraint], maximize: bool = True
 ) -> LPSolution:
     """Optimise a linear objective over {x >= 0 : constraints} exactly.
 
     Each constraint is a triple (coefficients, relation, rhs) with relation
-    one of "<=", ">=", "==".  Raises Infeasible or Unbounded as appropriate.
+    one of "<=", ">=", "==".  Raises Infeasible or Unbounded as appropriate,
+    and AuditFailure if the answer fails its own optimality audit.
     """
-    c = [Fraction(x) for x in objective]
+    c = [_rational(x) for x in objective]
     if not maximize:
         sol = solve_lp_exact([-x for x in c], constraints, maximize=True)
         return LPSolution(-sol.value, sol.primal, tuple(-y for y in sol.dual))
 
+    problem = _integerise(c, constraints)
+    x, y = _simplex(problem)
+    value = sum((a * xi for a, xi in zip(c, x) if a), Fraction(0))
+    # An infeasible or unbounded run raises above and is not a solve; any
+    # completed solve must certify, so the two counters stay equal.
+    SOLVE_STATS["solves"] += 1
+    _certify_optimal(problem, x, y, value)
+    SOLVE_STATS["certified"] += 1
+    return LPSolution(value, tuple(x), tuple(y))
+
+
+def _integerise(c: list[int | Fraction], constraints: Sequence[Constraint]) -> _Problem:
+    """Validate the input and scale each row, and the objective, to integers
+    by its least common denominator."""
     nvars = len(c)
-    rows: list[list[Fraction]] = []
+    c_den = lcm(*(a.denominator for a in c))
+    rows: list[dict[int, int]] = []
     rels: list[str] = []
-    rhs: list[Fraction] = []
+    rhs: list[int] = []
+    dens: list[int] = []
     for coeffs, rel, b in constraints:
-        coeffs = [Fraction(x) for x in coeffs]
+        # _rational, inlined: this runs once per coefficient.
+        coeffs = [
+            x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs
+        ]
         if len(coeffs) != nvars:
             raise ValueError(
                 f"constraint has {len(coeffs)} coefficients, expected {nvars}"
             )
         if rel not in _RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
-        rows.append(coeffs)
+        row = {j: a for j, a in enumerate(coeffs) if a}
+        b = _rational(b)
+        den = lcm(b.denominator, *(a.denominator for a in row.values()))
+        rows.append({j: a.numerator * (den // a.denominator) for j, a in row.items()})
         rels.append(rel)
-        rhs.append(Fraction(b))
-
-    x, y = _simplex(c, rows, rels, rhs)
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    # An infeasible or unbounded run raises above and is not a solve; any
-    # completed solve must certify, so the two counters stay equal.
-    SOLVE_STATS["solves"] += 1
-    _certify_optimal(c, rows, rels, rhs, x, y, value)
-    SOLVE_STATS["certified"] += 1
-    return LPSolution(value, tuple(x), tuple(y))
+        rhs.append(b.numerator * (den // b.denominator))
+        dens.append(den)
+    return _Problem(_scale(c, c_den), c_den, rows, rels, rhs, dens)
 
 
-def _simplex(
-    c: list[Fraction],
-    rows: list[list[Fraction]],
-    rels: list[str],
-    rhs: list[Fraction],
-) -> tuple[list[Fraction], list[Fraction]]:
+def _simplex(problem: _Problem) -> tuple[list[Fraction], list[Fraction]]:
+    c = problem.c
     nvars = len(c)
-    m = len(rows)
+    m = len(problem.rows)
 
-    # Integerise: scale each row to integers, flip rows with negative rhs so
-    # the all-slack start is feasible.  Both transforms are undone on the
-    # duals at extraction time.
-    int_rows: list[list[int]] = []
-    int_rhs: list[int] = []
-    row_rel: list[str] = []
-    scale: list[Fraction] = []
-    for i in range(m):
-        den = lcm(*(f.denominator for f in rows[i]), rhs[i].denominator)
-        coeffs = [int(f * den) for f in rows[i]]
-        b = int(rhs[i] * den)
-        factor = Fraction(den)
-        rel = rels[i]
-        if b < 0:
-            coeffs = [-a for a in coeffs]
-            b = -b
-            factor = -factor
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        int_rows.append(coeffs)
-        int_rhs.append(b)
-        row_rel.append(rel)
-        scale.append(factor)
-
-    obj_den = lcm(*(f.denominator for f in c)) if c else 1
-    int_c = [int(f * obj_den) for f in c]
+    # Flip rows with negative rhs so the all-slack start is feasible; the
+    # flip and the integer scaling are undone on the duals at extraction.
+    sign = [-1 if b < 0 else 1 for b in problem.rhs]
+    row_rel = [
+        {LE: GE, GE: LE, EQ: EQ}[rel] if s < 0 else rel
+        for rel, s in zip(problem.rels, sign)
+    ]
 
     # Column layout: structural, slack/surplus, artificial, rhs.
     slack_col = [-1] * m
@@ -157,14 +185,13 @@ def _simplex(
             art_col[i] = next_col
             next_col += 1
     rhs_col = next_col
-    ncols = next_col + 1
 
-    tab: list[list[int]] = []
+    tab: list[dict[int, int]] = []
     basis: list[int] = []
-    for i in range(m):
-        row = [0] * ncols
-        row[:nvars] = int_rows[i]
-        row[rhs_col] = int_rhs[i]
+    for i, s in enumerate(sign):
+        row = {j: s * a for j, a in problem.rows[i].items()}
+        if problem.rhs[i]:
+            row[rhs_col] = s * problem.rhs[i]
         if slack_col[i] >= 0:
             row[slack_col[i]] = 1 if row_rel[i] == LE else -1
         if art_col[i] >= 0:
@@ -174,32 +201,36 @@ def _simplex(
             basis.append(slack_col[i])
         tab.append(row)
 
-    state = _Tableau(tab, basis, rhs_col, denom=1)
+    state = _Tableau(tab, basis, rhs_col)
     artificials = frozenset(col for col in art_col if col >= 0)
 
     if artificials:
-        _phase_one(state, art_col, artificials)
+        _phase_one(state, artificials)
 
     # Live rows may have shrunk (redundant rows get dropped in phase one).
-    zrow = [0] * ncols
-    for j in range(ncols):
-        acc = 0
-        for i, row in enumerate(state.tab):
-            cb = state.basis[i]
-            if cb < nvars and int_c[cb]:
-                acc += int_c[cb] * row[j]
-        if j < nvars:
-            acc -= state.denom * int_c[j]
-        zrow[j] = acc
-    state.zrow = zrow
+    costed = [
+        (c[state.basis[i]], row, den)
+        for i, (row, den) in enumerate(zip(state.rows, state.dens))
+        if state.basis[i] < nvars and c[state.basis[i]]
+    ]
+    zden = lcm(*(den for _, _, den in costed))
+    z: dict[int, int] = {}
+    for cb, row, den in costed:
+        f = cb * (zden // den)
+        for j, a in row.items():
+            z[j] = z.get(j, 0) + f * a
+    for j, cj in enumerate(c):
+        if cj:
+            z[j] = z.get(j, 0) - zden * cj
+    state.zrow, state.zden = _reduce({j: a for j, a in z.items() if a}, zden)
 
     _bland_loop(state, banned=artificials)
 
     # Primal values of the structural variables.
     x = [Fraction(0)] * nvars
-    for i, row in enumerate(state.tab):
+    for i, row in enumerate(state.rows):
         if state.basis[i] < nvars:
-            x[state.basis[i]] = Fraction(row[state.rhs_col], state.denom)
+            x[state.basis[i]] = Fraction(row.get(rhs_col, 0), state.dens[i])
 
     # Dual of row i is the reduced cost at its identity column, mapped back
     # through the row scaling and the objective scaling.
@@ -208,64 +239,93 @@ def _simplex(
         if i in state.dropped:
             continue
         col = art_col[i] if art_col[i] >= 0 else slack_col[i]
-        y[i] = Fraction(state.zrow[col], state.denom) * scale[i] / obj_den
+        y[i] = Fraction(
+            state.zrow.get(col, 0) * sign[i] * problem.den[i],
+            state.zden * problem.c_den,
+        )
     return x, y
 
 
-class _Tableau:
-    """Mutable integer tableau with a shared positive denominator."""
+def _reduce(row: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """The same row in lowest terms."""
+    if den == 1:
+        return row, den
+    g = gcd(den, *row.values())
+    if g == 1:
+        return row, den
+    return {j: a // g for j, a in row.items()}, den // g
 
-    def __init__(self, tab: list[list[int]], basis: list[int], rhs_col: int, denom: int):
-        self.tab = tab
+
+def _eliminate(
+    row: dict[int, int], den: int, prow: dict[int, int], pden: int, f: int
+) -> tuple[dict[int, int], int]:
+    """row/den - (f/den) * prow/pden, where f is row's entry in the column
+    whose pivot row, normalised to 1 there, is prow/pden."""
+    new = {j: a * pden for j, a in row.items()} if pden != 1 else row.copy()
+    get = new.get
+    for j, b in prow.items():
+        v = get(j, 0) - f * b
+        if v:
+            new[j] = v
+        else:
+            del new[j]
+    return _reduce(new, den * pden)
+
+
+class _Tableau:
+    """Sparse integer rows, each over its own positive denominator."""
+
+    def __init__(self, rows: list[dict[int, int]], basis: list[int], rhs_col: int):
+        self.rows = rows
+        self.dens = [1] * len(rows)
         self.basis = basis
         self.rhs_col = rhs_col
-        self.denom = denom
-        self.zrow: list[int] = []
+        self.zrow: dict[int, int] | None = None
+        self.zden = 1
         self.dropped: set[int] = set()
-        self.row_ids = list(range(len(tab)))
+        self.row_ids = list(range(len(rows)))
 
     def pivot(self, r: int, col: int) -> None:
-        tab = self.tab
-        d = self.denom
-        prow = tab[r]
-        p = prow[col]
+        prow = self.rows[r]
+        p = prow.get(col, 0)
         if p == 0:
             raise LPError("zero pivot element")
         if p < 0:
-            prow = [-a for a in prow]
-            tab[r] = prow
+            prow = {j: -a for j, a in prow.items()}
             p = -p
-        for i, row in enumerate(tab):
-            if i == r:
-                continue
-            f = row[col]
-            if f == 0:
-                if p != d:
-                    tab[i] = [a * p // d for a in row]
-            else:
-                tab[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+        # The pivot row divided by its entry: numerators over p.
+        prow, p = _reduce(prow, p)
+        self.rows[r] = prow
+        self.dens[r] = p
+        for i, row in enumerate(self.rows):
+            f = row.get(col)
+            if f and i != r:
+                self.rows[i], self.dens[i] = _eliminate(row, self.dens[i], prow, p, f)
         z = self.zrow
         if z:
-            f = z[col]
-            if f == 0:
-                if p != d:
-                    self.zrow = [a * p // d for a in z]
-            else:
-                self.zrow = [(a * p - f * b) // d for a, b in zip(z, prow)]
-        self.denom = p
+            f = z.get(col)
+            if f:
+                self.zrow, self.zden = _eliminate(z, self.zden, prow, p, f)
         self.basis[r] = col
+
+    def drop(self, i: int) -> None:
+        self.dropped.add(self.row_ids[i])
+        del self.rows[i]
+        del self.dens[i]
+        del self.basis[i]
+        del self.row_ids[i]
 
 
 def _choose_row(state: _Tableau, col: int) -> int | None:
     """Bland ratio test: smallest rhs/entry over positive entries, ties by
-    smallest basic variable index."""
+    smallest basic variable index.  Row denominators cancel in the ratio."""
     best = None
     rc = state.rhs_col
-    for i, row in enumerate(state.tab):
-        a = row[col]
+    for i, row in enumerate(state.rows):
+        a = row.get(col, 0)
         if a <= 0:
             continue
-        b = row[rc]
+        b = row.get(rc, 0)
         if best is None:
             best = (i, b, a)
             continue
@@ -277,116 +337,108 @@ def _choose_row(state: _Tableau, col: int) -> int | None:
 
 
 def _bland_loop(state: _Tableau, banned: frozenset[int]) -> None:
-    limit = 20000 + 200 * (len(state.tab) + state.rhs_col)
-    z = state.zrow
+    limit = 20000 + 200 * (len(state.rows) + state.rhs_col)
+    rc = state.rhs_col
     for _ in range(limit):
-        enter = -1
-        for j in range(state.rhs_col):
-            if z[j] < 0 and j not in banned:
-                enter = j
-                break
+        enter = min(
+            (j for j, a in state.zrow.items() if a < 0 and j < rc and j not in banned),
+            default=-1,
+        )
         if enter < 0:
             return
         leave = _choose_row(state, enter)
         if leave is None:
             raise Unbounded(f"objective unbounded along column {enter}")
         state.pivot(leave, enter)
-        z = state.zrow
     raise LPError("pivot limit exceeded")
 
 
-def _phase_one(state: _Tableau, art_col: list[int], artificials: frozenset[int]) -> None:
+def _phase_one(state: _Tableau, artificials: frozenset[int]) -> None:
     """Drive the artificial variables to zero, or report infeasibility."""
-    ncols = state.rhs_col + 1
-    z = [0] * ncols
-    art_rows = [i for i, b in enumerate(state.basis) if b in artificials]
-    for j in range(ncols):
-        z[j] = -sum(state.tab[i][j] for i in art_rows)
-        if j in artificials:
-            z[j] += state.denom
-    state.zrow = z
+    # Every row is still over denominator 1 here.
+    z: dict[int, int] = {j: 1 for j in artificials}
+    for i, b in enumerate(state.basis):
+        if b in artificials:
+            for j, a in state.rows[i].items():
+                z[j] = z.get(j, 0) - a
+    state.zrow = {j: a for j, a in z.items() if a}
 
     # Artificial columns never re-enter: whenever the system is feasible it
     # has an optimum with every artificial at zero, so restricting the
     # entering choice to real columns still drives the phase-one objective
     # to zero exactly when feasibility holds.
-    limit = 20000 + 200 * (len(state.tab) + ncols)
-    for _ in range(limit):
-        z = state.zrow
-        enter = -1
-        for j in range(state.rhs_col):
-            if z[j] < 0 and j not in artificials:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = _choose_row(state, enter)
-        if leave is None:
-            raise LPError("phase one unbounded; this cannot happen")
-        state.pivot(leave, enter)
-    else:
-        raise LPError("pivot limit exceeded in phase one")
+    try:
+        _bland_loop(state, banned=artificials)
+    except Unbounded:
+        raise LPError("phase one unbounded; this cannot happen") from None
 
     rc = state.rhs_col
     for i, b in enumerate(state.basis):
-        if b in artificials and state.tab[i][rc] > 0:
+        if b in artificials and state.rows[i].get(rc, 0) > 0:
             raise Infeasible("artificial variable stuck at a positive value")
 
     # Degenerate artificials still in the basis: pivot them out on any live
-    # column, or drop the row as redundant.
-    for i in range(len(state.tab) - 1, -1, -1):
+    # column, or drop the row as redundant.  The phase-one objective is done.
+    state.zrow = None
+    for i in range(len(state.rows) - 1, -1, -1):
         if state.basis[i] not in artificials:
             continue
-        row = state.tab[i]
-        col = next(
-            (
-                j
-                for j in range(state.rhs_col)
-                if j not in artificials and row[j] != 0
-            ),
-            -1,
+        col = min(
+            (j for j in state.rows[i] if j < rc and j not in artificials),
+            default=-1,
         )
         if col >= 0:
             state.pivot(i, col)
         else:
-            state.dropped.add(state.row_ids[i])
-            del state.tab[i]
-            del state.basis[i]
-            del state.row_ids[i]
+            state.drop(i)
 
 
 def _certify_optimal(
-    c: list[Fraction],
-    rows: list[list[Fraction]],
-    rels: list[str],
-    rhs: list[Fraction],
-    x: list[Fraction],
-    y: list[Fraction],
-    value: Fraction,
+    problem: _Problem, x: list[Fraction], y: list[Fraction], value: Fraction
 ) -> None:
     """Independent optimality proof for a maximisation problem.
 
-    Primal feasibility, dual feasibility with the right signs, and equal
-    objectives together certify optimality of both solutions; any failure is
-    a solver bug, reported as AssertionError.
+    Primal feasibility, dual signs, dual feasibility and strong duality
+    together certify optimality of both solutions.  x is put over one
+    common denominator and y, divided by the row scales, over another, so
+    every check is an integer dot product over the input's nonzeros.  Any
+    failure is a solver bug, raised as AuditFailure.
     """
-    for xi in x:
-        assert xi >= 0, "primal variable went negative"
-    for row, rel, b in zip(rows, rels, rhs):
-        lhs = sum((a * xi for a, xi in zip(row, x)), Fraction(0))
-        if rel == LE:
-            assert lhs <= b, "primal constraint violated"
-        elif rel == GE:
-            assert lhs >= b, "primal constraint violated"
-        else:
-            assert lhs == b, "primal constraint violated"
-    for yi, rel in zip(y, rels):
-        if rel == LE:
-            assert yi >= 0, "dual sign violated on a <= row"
-        elif rel == GE:
-            assert yi <= 0, "dual sign violated on a >= row"
-    for j in range(len(c)):
-        reduced = sum((y[i] * rows[i][j] for i in range(len(rows))), Fraction(0))
-        assert reduced >= c[j], "dual constraint violated"
-    dual_value = sum((yi * b for yi, b in zip(y, rhs)), Fraction(0))
-    assert value == dual_value, "strong duality failed"
+    if len(x) != len(problem.c) or len(y) != len(problem.rows):
+        raise AuditFailure("solution has the wrong number of entries")
+    xden = lcm(*(xi.denominator for xi in x))
+    xn = _scale(x, xden)
+    if any(xi < 0 for xi in xn):
+        raise AuditFailure("primal variable went negative")
+    for row, rel, b in zip(problem.rows, problem.rels, problem.rhs):
+        slack = b * xden - sum(a * xn[j] for j, a in row.items())
+        ok = slack >= 0 if rel == LE else slack <= 0 if rel == GE else slack == 0
+        if not ok:
+            raise AuditFailure(f"primal constraint violated on a {rel} row")
+
+    for yi, rel in zip(y, problem.rels):
+        if (rel == LE and yi < 0) or (rel == GE and yi > 0):
+            raise AuditFailure(f"dual sign violated on a {rel} row")
+
+    # Row i is the given row times den[i], so its dual is y[i] / den[i].
+    w = [Fraction(yi.numerator, yi.denominator * d) for yi, d in zip(y, problem.den)]
+    wden = lcm(*(wi.denominator for wi in w))
+    wn = _scale(w, wden)
+    # sum_i y_i a_ij >= c_j, times c_den * wden.
+    reduced = [0] * len(problem.c)
+    for wi, row in zip(wn, problem.rows):
+        if wi:
+            for j, a in row.items():
+                reduced[j] += wi * a
+    c_den = problem.c_den
+    for rj, cj in zip(reduced, problem.c):
+        if rj * c_den < cj * wden:
+            raise AuditFailure("dual constraint violated")
+
+    primal = sum(cj * xj for cj, xj in zip(problem.c, xn) if cj)
+    dual = sum(wi * b for wi, b in zip(wn, problem.rhs) if wi)
+    if (
+        primal * value.denominator != value.numerator * c_den * xden
+        or dual * value.denominator != value.numerator * wden
+    ):
+        raise AuditFailure("strong duality failed")

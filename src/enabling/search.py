@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .bounds import two_colour_lower
 from .cliques import verify_enabling
-from .graphs import from_simple_graph
+from .graphs import from_simple_graph, pairs as graph_pairs
 
 __all__ = ["SearchReport", "exists_enabling", "min_n"]
 
@@ -68,10 +68,6 @@ class SearchReport:
         return json.dumps(
             self.to_json_dict(include_timings), sort_keys=True, separators=(",", ":")
         )
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def _span_tables(
@@ -223,7 +219,7 @@ def exists_enabling(
         raise ValueError(f"shards_log2 must lie in [0, {nbits}]")
 
     t0 = time.perf_counter()
-    pairs = _pairs(n)
+    pairs = list(graph_pairs(n))
     total = 1 << nbits
     mind = max(0, k1 - 1)
     maxd = min(n - 1, n - k2)

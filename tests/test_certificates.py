@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from enabling import certificates
 from enabling.certificates import (
     FamilyMeasure,
     LemmaViolation,
@@ -25,6 +26,7 @@ from enabling.constructions import (
     two_colour_extremal,
 )
 from enabling.graphs import build, monochromatic_complete
+from enabling.lp import LPSolution
 
 
 def p4():
@@ -87,6 +89,25 @@ def test_construct_mu_rejects_understated_delta():
     fam = choose_family(g, 0, 2, ALL_CLIQUES)
     with pytest.raises(LemmaViolation):
         construct_mu(g, fam, F(1, 4))
+
+
+def test_lp_answers_are_rechecked_without_asserts(monkeypatch):
+    # Both guards raise LemmaViolation, so python -O keeps them.
+    g = p4()
+    fam = choose_family(g, 0, 2, ALL_CLIQUES)
+    quarter = (F(1, 4),) * 4
+    monkeypatch.setattr(
+        certificates, "solve_lp_exact",
+        lambda *args: LPSolution(F(1), quarter + (F(1),), ()),
+    )
+    with pytest.raises(LemmaViolation, match="does not give every clique mass 1"):
+        compute_delta(g, fam)
+    monkeypatch.setattr(
+        certificates, "solve_lp_exact",
+        lambda *args: LPSolution(F(1), (F(1), F(0), F(0)), ()),
+    )
+    with pytest.raises(LemmaViolation, match="exceeds delta"):
+        construct_mu(g, fam, F(1, 2))
 
 
 def test_pairwise_intersections():

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from enabling import lp
 from enabling.cli import main
 from enabling.graphs import EdgeColouredGraph
 
@@ -53,6 +55,25 @@ def test_certify_exits_zero_and_emits_exact_rationals(tmp_path, capsys):
     deltas = [c["delta"] for c in doc["certificates"]]
     assert deltas == [{"num": "1", "den": "2"}, {"num": "1", "den": "2"}]
     assert doc["bound"]["ceiling"] == 4
+
+
+def test_certify_failed_lp_audit_is_exit_three(tmp_path, capsys, monkeypatch):
+    code, out, _ = run(capsys, "construct", "--family", "p4", "--params", "4")
+    path = tmp_path / "p4.json"
+    path.write_text(out)
+    # A zero dual vector cannot cover a positive objective.  The failed
+    # solve goes to a private tally, so the session-wide one stays equal.
+    monkeypatch.setattr(lp, "SOLVE_STATS", {"solves": 0, "certified": 0})
+    monkeypatch.setattr(
+        lp, "_simplex",
+        lambda problem: ([F(0)] * len(problem.c), [F(0)] * len(problem.rows)),
+    )
+    code, out, err = run(
+        capsys, "certify", "--graph", str(path), "--targets", "0:2,1:2"
+    )
+    assert code == 3
+    assert out == ""
+    assert "invariant falsified: dual constraint violated" in err
 
 
 def test_certify_check_mode_round_trips(tmp_path, capsys):

@@ -1,11 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 
 import enabling.lp as lp
-from enabling.lp import EQ, GE, LE, Infeasible, Unbounded, solve_lp_exact
+from enabling.lp import EQ, GE, LE, AuditFailure, Infeasible, Unbounded, solve_lp_exact
 
 
 # --- oracle: enumerate basic feasible points of a pointed region -------------
@@ -185,8 +189,48 @@ def test_random_le_systems_match_oracle():
         assert sol.value == expected
 
 
+def _assert_duals_optimal(objective, constraints, sol):
+    """Dual signs, dual feasibility and strong duality, in Fractions."""
+    for y, (_, rel, _) in zip(sol.dual, constraints):
+        assert not (rel == LE and y < 0) and not (rel == GE and y > 0)
+    for j, c in enumerate(objective):
+        assert sum(y * F(a[j]) for y, (a, _, _) in zip(sol.dual, constraints)) >= c
+    assert sum(y * F(b) for y, (_, _, b) in zip(sol.dual, constraints)) == sol.value
+
+
+def _phase_one_instances():
+    """Redundant equality rows, which phase one drops, and degenerate
+    vertices, where several rows meet at the optimum."""
+    # The second and third rows repeat the first, scaled, one by Fractions.
+    yield [1, 2, 0], [
+        ([1, 1, 1], EQ, 3),
+        ([2, 2, 2], EQ, 6),
+        ([F(1, 2), F(1, 2), F(1, 2)], EQ, F(3, 2)),
+        ([1, 0, 0], GE, 1),
+    ]
+    # x0 - x1 == 0 with x0 + x1 == 2 makes 2*x0 == 2 redundant; rhs 0 rows
+    # start phase one at a degenerate vertex.
+    yield [3, 1], [([1, -1], EQ, 0), ([1, 1], EQ, 2), ([2, 0], EQ, 2), ([1, 0], LE, 5)]
+    # Four rows through the optimum (1, 1) of a two-variable problem.
+    yield [1, 1], [
+        ([1, -1], LE, 0),
+        ([1, 1], LE, 2),
+        ([1, 0], LE, 1),
+        ([2, -1], LE, 1),
+        ([0, 1], GE, 0),
+    ]
+    # Degenerate equality at the origin plus a redundant copy of it.
+    yield [1, -1, 1], [
+        ([1, -1, 0], EQ, 0),
+        ([-3, 3, 0], EQ, 0),
+        ([1, 1, 1], LE, 4),
+        ([0, 0, 1], GE, 0),
+    ]
+
+
 def test_random_mixed_relation_systems_match_oracle():
     rng = random.Random(977)
+    instances = list(_phase_one_instances())
     for _ in range(120):
         nv = rng.randint(1, 3)
         # build around a known feasible nonnegative point so phase 1 matters
@@ -204,7 +248,113 @@ def test_random_mixed_relation_systems_match_oracle():
                 rows.append((a, rel, lhs))
         rows.append(([1] * nv, LE, sum(x0) + rng.randint(0, 5)))
         obj = [rng.randint(-4, 4) for _ in range(nv)]
+        instances.append((obj, rows))
+    for obj, rows in instances:
         expected, _ = brute_lp_max(obj, rows)
         sol = solve_lp_exact(obj, rows)
         assert expected is not None
         assert sol.value == expected
+        _assert_duals_optimal(obj, rows, sol)
+
+
+# --- the optimality audit rejects every wrong answer --------------------------
+
+# Fraction coefficients and right-hand sides, as the mu LP has, so the audit's
+# row scaling is exercised.  Optimum x = (2, 3/2), y = (4/3, 0, 1/3), 7/2.
+AUDIT_OBJECTIVE = [1, 1]
+AUDIT_ROWS = [
+    ([F(1, 2), 1], LE, F(5, 2)),
+    ([1, F(1, 3)], GE, F(1, 3)),
+    ([1, -1], EQ, F(1, 2)),
+]
+AUDIT_X = [F(2), F(3, 2)]
+AUDIT_Y = [F(4, 3), F(0), F(1, 3)]
+AUDIT_VALUE = F(7, 2)
+
+
+def _audit(x=AUDIT_X, y=AUDIT_Y, value=AUDIT_VALUE):
+    problem = lp._integerise(AUDIT_OBJECTIVE, AUDIT_ROWS)
+    lp._certify_optimal(problem, list(x), list(y), value)
+
+
+def test_audit_accepts_the_optimum():
+    sol = solve_lp_exact(AUDIT_OBJECTIVE, AUDIT_ROWS)
+    assert list(sol.primal) == AUDIT_X and list(sol.dual) == AUDIT_Y
+    assert sol.value == AUDIT_VALUE
+    _audit()
+
+
+AUDIT_CASES = [
+    ([F(-1), F(3, 2)], AUDIT_Y, AUDIT_VALUE, "primal variable went negative"),
+    ([F(5), F(5)], AUDIT_Y, AUDIT_VALUE, "violated on a <= row"),
+    ([F(0), F(0)], AUDIT_Y, AUDIT_VALUE, "violated on a >= row"),
+    ([F(1), F(0)], AUDIT_Y, AUDIT_VALUE, "violated on a == row"),
+    (AUDIT_X, [F(-1), F(0), F(1, 3)], AUDIT_VALUE, "dual sign violated on a <= row"),
+    (AUDIT_X, [F(4, 3), F(1, 7), F(1, 3)], AUDIT_VALUE,
+     "dual sign violated on a >= row"),
+    (AUDIT_X, [F(0), F(0), F(0)], AUDIT_VALUE, "dual constraint violated"),
+    (AUDIT_X, [F(4, 3), F(0), F(1, 3) - F(1, 10**9)], AUDIT_VALUE,
+     "dual constraint violated"),
+    # dual feasible but not optimal: a gap of 5/2
+    (AUDIT_X, [F(7, 3), F(0), F(1, 3)], AUDIT_VALUE, "strong duality failed"),
+    # a feasible primal that is not optimal
+    ([F(1, 2), F(0)], AUDIT_Y, F(1, 2), "strong duality failed"),
+    # the right pair with a misreported value
+    (AUDIT_X, AUDIT_Y, AUDIT_VALUE + F(1, 6), "strong duality failed"),
+    (AUDIT_X[:1], AUDIT_Y, AUDIT_VALUE, "wrong number of entries"),
+]
+
+
+@pytest.mark.parametrize("x, y, value, match", AUDIT_CASES)
+def test_audit_rejects_wrong_solutions(x, y, value, match):
+    with pytest.raises(AuditFailure, match=match):
+        _audit(x, y, value)
+
+
+def test_wrong_simplex_answer_fails_the_solve(monkeypatch):
+    # A private tally, so the session-wide one keeps solves == certified.
+    monkeypatch.setattr(lp, "SOLVE_STATS", {"solves": 0, "certified": 0})
+    monkeypatch.setattr(lp, "_simplex", lambda problem: (AUDIT_X, [F(0)] * 3))
+    with pytest.raises(AuditFailure, match="dual constraint violated"):
+        solve_lp_exact(AUDIT_OBJECTIVE, AUDIT_ROWS)
+    assert lp.SOLVE_STATS == {"solves": 1, "certified": 0}
+
+
+def test_audit_survives_optimisation_flag():
+    """Under python -O the audit still rejects every case above, and a solve
+    whose simplex answer is wrong raises instead of counting as certified."""
+    code = textwrap.dedent(
+        f"""
+        from fractions import Fraction
+        import enabling.lp as lp
+
+        assert False, "asserts must be stripped in this run"
+        rows = {AUDIT_ROWS!r}
+        problem = lp._integerise({AUDIT_OBJECTIVE!r}, rows)
+        for x, y, value, _ in {AUDIT_CASES!r}:
+            try:
+                lp._certify_optimal(problem, x, y, value)
+            except lp.AuditFailure as exc:
+                print("rejected:", exc)
+            else:
+                print("accepted")
+        lp._simplex = lambda problem: ({AUDIT_X!r}, [Fraction(0)] * 3)
+        try:
+            lp.solve_lp_exact({AUDIT_OBJECTIVE!r}, rows)
+        except lp.AuditFailure as exc:
+            print("rejected:", exc)
+        print(lp.SOLVE_STATS)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(lp.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.splitlines()
+    assert len(out) == len(AUDIT_CASES) + 2
+    for line, (_, _, _, match) in zip(out, AUDIT_CASES):
+        assert line.startswith("rejected: ") and match in line
+    assert out[-2] == "rejected: dual constraint violated"
+    assert out[-1] == "{'solves': 1, 'certified': 0}"
