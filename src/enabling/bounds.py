@@ -17,6 +17,7 @@ from .constructions import TwoColourExtremalParams, _is_prime
 
 __all__ = [
     "BoundReport",
+    "LemmaViolation",
     "f_eval",
     "f_max",
     "improved_inequality",
@@ -27,6 +28,10 @@ __all__ = [
     "two_colour_lower",
     "two_colour_report",
 ]
+
+
+class LemmaViolation(Exception):
+    """A mathematically guaranteed inequality failed on concrete data."""
 
 
 def two_colour_lower(k1: int, k2: int) -> int:
@@ -90,7 +95,8 @@ def multicolour_lower(r: int, k: int) -> int:
         raise ValueError(f"need r >= 2 and k >= 2, got ({r}, {k})")
     trivial = r * (k - 1) + 1
     quadratic = f_max(r, k, 2)
-    assert quadratic.denominator == 1
+    if quadratic.denominator != 1:
+        raise LemmaViolation(f"f_max({r}, {k}, 2) = {quadratic} is not an integer")
     return max(trivial, int(quadratic))
 
 

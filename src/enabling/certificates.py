@@ -21,16 +21,19 @@ LemmaViolation, which the command line maps to a distinct exit status.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
-from .bounds import f_max, two_colour_lower
+from .bounds import LemmaViolation, f_max, two_colour_lower
 from .cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
     CliqueFamily,
+    _lex_family,
     choose_family,
     verify_enabling,
 )
@@ -57,10 +60,6 @@ __all__ = [
 ]
 
 
-class LemmaViolation(Exception):
-    """A mathematically guaranteed inequality failed on concrete data."""
-
-
 class NotEnabling(ValueError):
     """The graph does not put every vertex in the required cliques."""
 
@@ -72,11 +71,7 @@ class VertexMeasure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        for w in self.weights:
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
-        if sum(self.weights, Fraction(0)) != 1:
-            raise ValueError("weights must sum to 1")
+        _check_probability(self.weights)
 
     def mass(self, vertices: Iterable[int]) -> Fraction:
         return sum((self.weights[v] for v in vertices), Fraction(0))
@@ -92,11 +87,43 @@ class FamilyMeasure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        for w in self.weights:
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
-        if sum(self.weights, Fraction(0)) != 1:
-            raise ValueError("weights must sum to 1")
+        _check_probability(self.weights)
+
+
+def _common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers a and one positive d with xs[i] == a[i] / d, so that sums and
+    comparisons of the xs become integer arithmetic."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _check_probability(weights: Sequence[Fraction]) -> None:
+    nums, den = _common_denominator(weights)
+    for a in nums:
+        if a < 0:
+            raise ValueError(f"negative weight {Fraction(a, den)}")
+    if sum(nums) != den:
+        raise ValueError("weights must sum to 1")
+
+
+def _vertex_masses(
+    n: int, cliques: Sequence[Sequence[int]], weights: Sequence[int]
+) -> list[int]:
+    """Integer vertex masses: the sum of weights[i] over cliques i containing
+    the vertex."""
+    masses = [0] * n
+    for c, w in zip(cliques, weights):
+        if w:
+            for v in c:
+                masses[v] += w
+    return masses
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def compute_delta(
@@ -123,7 +150,9 @@ def compute_delta(
     sol = solve_lp_exact(objective, constraints)
     delta = sol.value
     lam = VertexMeasure(sol.primal[:n])
-    if min(lam.mass(c) for c in fam.cliques) != delta:
+    w, den = _common_denominator(lam.weights)
+    least = min(sum(w[v] for v in c) for c in fam.cliques)
+    if least * delta.denominator != delta.numerator * den:
         raise LemmaViolation(f"the maximiser does not give every clique mass {delta}")
     if delta < Fraction(fam.k, n):
         raise LemmaViolation(
@@ -187,7 +216,10 @@ def construct_mu(
             f"it must reach 1 when delta={delta} is exact"
         )
     mu = FamilyMeasure(tuple(w / total for w in sol.primal))
-    if max(mu_vertex_masses(g.n, fam, mu)) > delta:
+    w, den = _common_denominator(mu.weights)
+    if max(_vertex_masses(g.n, fam.cliques, w)) * delta.denominator > (
+        delta.numerator * den
+    ):
         raise LemmaViolation(f"a mu vertex mass exceeds delta={delta}")
     return mu
 
@@ -196,12 +228,8 @@ def mu_vertex_masses(
     n: int, fam: CliqueFamily, mu: FamilyMeasure
 ) -> tuple[Fraction, ...]:
     """Induced vertex masses sum_{C containing v} mu(C)."""
-    masses = [Fraction(0)] * n
-    for c, w in zip(fam.cliques, mu.weights):
-        if w:
-            for v in c:
-                masses[v] += w
-    return tuple(masses)
+    w, den = _common_denominator(mu.weights)
+    return tuple(Fraction(m, den) for m in _vertex_masses(n, fam.cliques, w))
 
 
 def check_pairwise_intersections(fam1: CliqueFamily, fam2: CliqueFamily) -> bool:
@@ -209,17 +237,20 @@ def check_pairwise_intersections(fam1: CliqueFamily, fam2: CliqueFamily) -> bool
     vertex.  Families must have distinct colours."""
     if fam1.colour == fam2.colour:
         raise ValueError("pairwise intersection check needs distinct colours")
-    return _max_intersection(fam1.cliques, fam2.cliques) <= 1
+    masks1 = [_mask(c) for c in fam1.cliques]
+    return _max_intersection(masks1, [_mask(c) for c in fam2.cliques]) <= 1
 
 
-def _max_intersection(
-    cliques1: Sequence[Sequence[int]], cliques2: Sequence[Sequence[int]]
-) -> int:
-    """Most vertices a clique of cliques1 shares with one of cliques2."""
-    sets2 = [frozenset(c) for c in cliques2]
-    return max(
-        (len(s2.intersection(c1)) for c1 in cliques1 for s2 in sets2), default=0
-    )
+def _product_sum(a: tuple[list[int], int], b: tuple[list[int], int]) -> Fraction:
+    """sum_v a(v) b(v) for two vectors given over their common denominators."""
+    (an, ad), (bn, bd) = a, b
+    return Fraction(sum(x * y for x, y in zip(an, bn)), ad * bd)
+
+
+def _max_intersection(masks1: Sequence[int], masks2: Sequence[int]) -> int:
+    """Most vertices a clique of masks1 shares with one of masks2, both given
+    as vertex bitmasks."""
+    return max(((m1 & m2).bit_count() for m1 in masks1 for m2 in masks2), default=0)
 
 
 def support_clique_check(
@@ -344,8 +375,26 @@ def _rat(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _int(x) -> int:
+    """A JSON integer; booleans, floats and strings are refused, not cast."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def _pair(x) -> tuple[int, int]:
+    a, b = x
+    return _int(a), _int(b)
+
+
 def _unrat(doc: dict) -> Fraction:
-    return Fraction(int(doc["num"]), int(doc["den"]))
+    num, den = doc["num"], doc["den"]
+    if not (_DECIMAL.fullmatch(num) and _DECIMAL.fullmatch(den)) or int(den) <= 0:
+        raise ValueError(f"{num!r}/{den!r} is not a rational with positive denominator")
+    return Fraction(int(num), int(den))
 
 
 def _ceil(x: Fraction) -> int:
@@ -373,7 +422,13 @@ def certify(
 
     certs: list[ColourCertificate] = []
     for colour, k in targets:
-        fam = choose_family(g, colour, k, policy)
+        if policy == PER_VERTEX_LEX:
+            # The witnesses are the lexicographically smallest cliques the
+            # family is built from; searching them again would repeat work.
+            found = {v: report.witnesses[v, colour] for v in range(g.n)}
+            fam = _lex_family(colour, k, found)
+        else:
+            fam = choose_family(g, colour, k, policy)
         delta, lam = compute_delta(g, fam)
         if not support_clique_check(g, colour, lam, delta):
             raise LemmaViolation(
@@ -394,6 +449,8 @@ def certify(
             )
         )
 
+    masses = [_common_denominator(c.mu_vertex_mass) for c in certs]
+    masks = [[_mask(q) for q in c.family.cliques] for c in certs]
     pairwise: list[PairwiseCheck] = []
     for i in range(len(certs)):
         for j in range(i + 1, len(certs)):
@@ -403,16 +460,13 @@ def certify(
                 raise LemmaViolation(
                     f"delta[{ci.colour}] + delta[{cj.colour}] = {dsum} > 1"
                 )
-            psum = sum(
-                (a * b for a, b in zip(ci.mu_vertex_mass, cj.mu_vertex_mass)),
-                Fraction(0),
-            )
+            psum = _product_sum(masses[i], masses[j])
             if psum > 1:
                 raise LemmaViolation(
                     f"mu-mass product sum for colours "
                     f"({ci.colour}, {cj.colour}) is {psum} > 1"
                 )
-            inter = _max_intersection(ci.family.cliques, cj.family.cliques)
+            inter = _max_intersection(masks[i], masks[j])
             if inter > 1:
                 raise LemmaViolation(
                     f"cliques of colours {ci.colour} and {cj.colour} "
@@ -472,23 +526,28 @@ def certify(
 
 
 def certificate_from_json_dict(doc: dict) -> dict:
-    """Decode the JSON form; rationals become Fractions, cliques tuples."""
+    """Decode the JSON form; rationals become Fractions, cliques tuples.
+
+    A missing field raises KeyError or TypeError.  A malformed one raises
+    ValueError: counts, colours and vertices must be JSON integers, and a
+    rational needs decimal strings with a positive denominator.
+    """
     out = {
-        "n": int(doc["n"]),
-        "r": int(doc["r"]),
-        "targets": [tuple(t) for t in doc["targets"]],
+        "n": _int(doc["n"]),
+        "r": _int(doc["r"]),
+        "targets": [_pair(t) for t in doc["targets"]],
         "policy": doc["policy"],
         "certificates": [],
         "pairwise": [],
         "bound": _unrat(doc["bound"]["value"]),
-        "bound_ceiling": int(doc["bound"]["ceiling"]),
+        "bound_ceiling": _int(doc["bound"]["ceiling"]),
     }
     for c in doc["certificates"]:
         out["certificates"].append(
             {
-                "colour": int(c["colour"]),
-                "k": int(c["k"]),
-                "cliques": [tuple(q) for q in c["cliques"]],
+                "colour": _int(c["colour"]),
+                "k": _int(c["k"]),
+                "cliques": [tuple(_int(v) for v in q) for q in c["cliques"]],
                 "delta": _unrat(c["delta"]),
                 "alpha": _unrat(c["alpha"]),
                 "lambda": [_unrat(w) for w in c["lambda"]],
@@ -499,10 +558,10 @@ def certificate_from_json_dict(doc: dict) -> dict:
     for p in doc.get("pairwise", []):
         out["pairwise"].append(
             {
-                "colours": tuple(p["colours"]),
+                "colours": _pair(p["colours"]),
                 "delta_sum": _unrat(p["delta_sum"]),
                 "mu_product_sum": _unrat(p["mu_product_sum"]),
-                "max_intersection": int(p["max_intersection"]),
+                "max_intersection": _int(p["max_intersection"]),
             }
         )
     return out
@@ -511,65 +570,65 @@ def certificate_from_json_dict(doc: dict) -> dict:
 def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
     """Re-verify a stored certificate against a graph without solving.
 
-    Returns a list of problems, empty when the certificate is sound.  The
-    checks prove the stored delta exact from both sides: lambda achieves it,
-    and the mu vertex-mass cap shows no measure can exceed it.
+    Returns a list of problems, empty when the certificate proves its bound;
+    a malformed document gives a problem, never an exception.  Every premise
+    of the bound is re-derived: each target colour is certified exactly once
+    with its k; its cliques are size-k cliques of that colour covering every
+    vertex; lambda achieves delta and the mu vertex masses cap it, so delta
+    is exact from both sides; every colour pair has a row whose sums and
+    intersection hold; and the bound and its ceiling follow from the deltas.
+    Measures are compared as integers over one common denominator per
+    vector, and cliques as adjacency bitmasks.
     """
-    cert = certificate_from_json_dict(doc)
-    issues: list[str] = []
+    try:
+        cert = certificate_from_json_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"malformed certificate: {type(exc).__name__}: {exc}"]
     if cert["n"] != g.n or cert["r"] != g.r:
         return [f"certificate is for n={cert['n']}, r={cert['r']}, "
                 f"graph has n={g.n}, r={g.r}"]
-    by_colour = {}
-    for c in cert["certificates"]:
-        colour, k = c["colour"], c["k"]
-        by_colour[colour] = c
-        for q in c["cliques"]:
-            if len(q) != k:
-                issues.append(f"colour {colour}: clique {q} has size {len(q)} != {k}")
-            elif not g.is_monochromatic_clique(q, colour):
-                issues.append(f"colour {colour}: {q} is not a colour-{colour} clique")
-        lam, mu, delta = c["lambda"], c["mu"], c["delta"]
-        if len(lam) != g.n or any(w < 0 for w in lam) or sum(lam) != 1:
-            issues.append(f"colour {colour}: lambda is not a probability measure")
-        elif min(sum(lam[v] for v in q) for q in c["cliques"]) != delta:
-            issues.append(
-                f"colour {colour}: lambda does not achieve the stated delta"
-            )
-        if len(mu) != len(c["cliques"]) or any(w < 0 for w in mu) or sum(mu) != 1:
-            issues.append(f"colour {colour}: mu is not a probability measure")
-        else:
-            masses = [Fraction(0)] * g.n
-            for q, w in zip(c["cliques"], mu):
-                for v in q:
-                    masses[v] += w
-            if list(c["mu_vertex_mass"]) != masses:
-                issues.append(f"colour {colour}: stored mu vertex masses are wrong")
-            if max(masses) > delta:
-                issues.append(
-                    f"colour {colour}: mu vertex mass exceeds delta, so the "
-                    f"stated delta cannot be optimal"
-                )
-        if c["alpha"] * delta != 1:
-            issues.append(f"colour {colour}: alpha is not 1/delta")
+    certs = cert["certificates"]
+    if not certs:
+        return ["the document certifies no colour"]
+    issues: list[str] = []
+    if cert["targets"] != [(c["colour"], c["k"]) for c in certs]:
+        issues.append("targets do not match the certified (colour, k) pairs")
+    seen: set[int] = set()
+    checked = {}
+    for c in certs:
+        colour = c["colour"]
+        if colour in seen:
+            issues.append(f"colour {colour} is certified twice")
+            continue
+        seen.add(colour)
+        if not 0 <= colour < g.r:
+            issues.append(f"colour {colour} outside range 0..{g.r - 1}")
+            continue
+        masses = _common_denominator(c["mu_vertex_mass"])
+        masks = _check_colour(g, c, masses, issues)
+        if masks is not None:
+            checked[colour] = (c, masks, masses)
+    rows = set()
     for p in cert["pairwise"]:
         i, j = p["colours"]
-        if i not in by_colour or j not in by_colour:
-            issues.append(f"pairwise row names unknown colours {(i, j)}")
+        rows.add((min(i, j), max(i, j)))
+        if i == j or i not in seen or j not in seen:
+            issues.append(f"pairwise row names unknown or equal colours {(i, j)}")
             continue
-        ci, cj = by_colour[i], by_colour[j]
+        if i not in checked or j not in checked:
+            continue  # the colour's own problems are listed already
+        (ci, masks_i, masses_i), (cj, masks_j, masses_j) = checked[i], checked[j]
         if ci["delta"] + cj["delta"] != p["delta_sum"] or p["delta_sum"] > 1:
             issues.append(f"pairwise ({i}, {j}): delta sum wrong or above 1")
-        psum = sum(
-            (a * b for a, b in zip(ci["mu_vertex_mass"], cj["mu_vertex_mass"])),
-            Fraction(0),
-        )
+        psum = _product_sum(masses_i, masses_j)
         if psum != p["mu_product_sum"] or psum > 1:
             issues.append(f"pairwise ({i}, {j}): mu product sum wrong or above 1")
-        inter = _max_intersection(ci["cliques"], cj["cliques"])
+        inter = _max_intersection(masks_i, masks_j)
         if inter != p["max_intersection"] or inter > 1:
             issues.append(f"pairwise ({i}, {j}): intersection bound violated")
-    certs = cert["certificates"]
+    for pair in combinations(sorted(seen), 2):
+        if pair not in rows:
+            issues.append(f"no pairwise row for colours {pair}")
     if len(certs) == 2:
         try:
             expected = two_colour_bound(
@@ -582,7 +641,7 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
                 issues.append(
                     f"stored bound {cert['bound']} != recomputed {expected}"
                 )
-    elif certs:
+    else:
         ks = {c["k"] for c in certs}
         alpha_bar = sum((c["alpha"] for c in certs), Fraction(0)) / len(certs)
         if len(ks) != 1 or alpha_bar < 2:
@@ -591,4 +650,68 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
             issues.append(f"stored bound {cert['bound']} is not the recomputed value")
     if cert["bound"] > g.n:
         issues.append(f"stored bound {cert['bound']} exceeds the vertex count {g.n}")
+    if cert["bound_ceiling"] != _ceil(cert["bound"]):
+        issues.append(
+            f"stored ceiling {cert['bound_ceiling']} is not the ceiling of "
+            f"the bound {cert['bound']}"
+        )
     return issues
+
+
+def _check_colour(
+    g: EdgeColouredGraph, c: dict, masses: tuple[list[int], int], issues: list[str]
+) -> list[int] | None:
+    """Append the problems of one colour's certificate to issues and return
+    its clique masks; masses is its stored mu vertex masses over their
+    common denominator.  A malformed clique, or an empty family, returns None
+    before any mass is summed."""
+    n, colour, k, delta = g.n, c["colour"], c["k"], c["delta"]
+    cliques = c["cliques"]
+    adj = g.adjacency(colour)
+    masks = []
+    covered = 0
+    for q in cliques:
+        mask = _mask(q) if all(0 <= v < n for v in q) else 0
+        if mask.bit_count() != len(q):
+            issues.append(
+                f"colour {colour}: clique {q} repeats a vertex or leaves 0..{n - 1}"
+            )
+            return None
+        if len(q) != k:
+            issues.append(f"colour {colour}: clique {q} has size {len(q)} != {k}")
+        elif any((adj[v] | 1 << v) & mask != mask for v in q):
+            issues.append(f"colour {colour}: {q} is not a colour-{colour} clique")
+        masks.append(mask)
+        covered |= mask
+    uncovered = ((1 << n) - 1) & ~covered
+    if uncovered:
+        v = (uncovered & -uncovered).bit_length() - 1
+        issues.append(f"colour {colour}: vertex {v} lies in none of the cliques")
+    if not cliques:
+        return None
+    lam, mu = c["lambda"], c["mu"]
+    w, den = _common_denominator(lam)
+    if len(lam) != n or any(a < 0 for a in w) or sum(w) != den:
+        issues.append(f"colour {colour}: lambda is not a probability measure")
+    elif min(sum(w[v] for v in q) for q in cliques) * delta.denominator != (
+        delta.numerator * den
+    ):
+        issues.append(f"colour {colour}: lambda does not achieve the stated delta")
+    w, den = _common_denominator(mu)
+    if len(mu) != len(cliques) or any(a < 0 for a in w) or sum(w) != den:
+        issues.append(f"colour {colour}: mu is not a probability measure")
+    else:
+        induced = _vertex_masses(n, cliques, w)
+        stored, stored_den = masses
+        if len(stored) != n or any(
+            a * den != m * stored_den for a, m in zip(stored, induced)
+        ):
+            issues.append(f"colour {colour}: stored mu vertex masses are wrong")
+        if max(induced) * delta.denominator > delta.numerator * den:
+            issues.append(
+                f"colour {colour}: mu vertex mass exceeds delta, so the "
+                f"stated delta cannot be optimal"
+            )
+    if c["alpha"] * delta != 1:
+        issues.append(f"colour {colour}: alpha is not 1/delta")
+    return masks

@@ -28,10 +28,6 @@ PER_VERTEX_LEX = "per-vertex-lex"
 ALL_CLIQUES = "all-cliques"
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def find_clique_containing(
     g: EdgeColouredGraph, colour: int, v: int, k: int
 ) -> tuple[int, ...] | None:
@@ -56,7 +52,7 @@ def find_clique_containing(
         if not have_v and not cand & vbit:
             return None
         while cand:
-            if _popcount(cand) < target - len(chosen):
+            if cand.bit_count() < target - len(chosen):
                 return None
             low = cand & -cand
             w = low.bit_length() - 1
@@ -89,7 +85,7 @@ def enumerate_cliques(
             out.append(tuple(chosen))
             return
         while cand:
-            if _popcount(cand) < need:
+            if cand.bit_count() < need:
                 return
             low = cand & -cand
             w = low.bit_length() - 1
@@ -190,6 +186,17 @@ class CliqueFamily:
                 raise ValueError(f"vertex {v} not in its designated clique")
 
 
+def _lex_family(
+    colour: int, k: int, found: Mapping[int, tuple[int, ...]]
+) -> CliqueFamily:
+    """The per-vertex-lex family from each vertex's lexicographically smallest
+    clique: the distinct cliques in sorted order, each vertex designated its
+    own."""
+    cliques = tuple(sorted(set(found.values())))
+    index = {c: i for i, c in enumerate(cliques)}
+    return CliqueFamily(colour, k, cliques, {v: index[w] for v, w in found.items()})
+
+
 def choose_family(
     g: EdgeColouredGraph, colour: int, k: int, policy: str = PER_VERTEX_LEX
 ) -> CliqueFamily:
@@ -209,10 +216,7 @@ def choose_family(
                     f"vertex {v} lies in no size-{k} clique of colour {colour}"
                 )
             found[v] = w
-        cliques = tuple(sorted(set(found.values())))
-        index = {c: i for i, c in enumerate(cliques)}
-        covered = {v: index[w] for v, w in found.items()}
-        return CliqueFamily(colour, k, cliques, covered)
+        return _lex_family(colour, k, found)
     if policy == ALL_CLIQUES:
         cliques = tuple(enumerate_cliques(g, colour, k))
         covered = {}

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def pair_count(n: int) -> int:
     """Number of unordered vertex pairs of a complete graph on n vertices."""
     return n * (n - 1) // 2
@@ -95,14 +98,21 @@ class EdgeColouredGraph:
             raise ValueError(f"colour {colour} outside range 0..{self.r - 1}")
         cached = self._adjacency.get(colour)
         if cached is None:
-            masks = [0] * self.n
-            it = iter(self.colours)
-            for u in range(self.n):
-                for v in range(u + 1, self.n):
-                    if next(it) == colour:
-                        masks[u] |= 1 << v
-                        masks[v] |= 1 << u
-            cached = tuple(masks)
+            n = self.n
+            # One ASCII digit per pair, in canonical order: 1 where the pair
+            # has this colour.  Row u of the n-by-n digit matrix lists vertices
+            # n-1 down to 0, so int(row, 2) has bit v set for each neighbour v;
+            # the pairs (u, u+1..n-1) fill part of row u and, by symmetry, of
+            # column u, each by one slice assignment.
+            digits = bytes(c == colour for c in self.colours).translate(_DIGITS)
+            rows = bytearray(b"0") * (n * n)
+            start = 0
+            for u in range(n):
+                seg = digits[start : start + n - 1 - u]
+                rows[u * n : u * n + n - 1 - u] = seg[::-1]
+                rows[(u + 1) * n + n - 1 - u :: n] = seg
+                start += n - 1 - u
+            cached = tuple(int(rows[u * n : u * n + n], 2) for u in range(n))
             self._adjacency[colour] = cached
         return cached
 

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bounds import two_colour_lower
+from .bounds import LemmaViolation, two_colour_lower
 from .cliques import verify_enabling
 from .graphs import from_simple_graph, pairs as graph_pairs
 
@@ -143,7 +143,7 @@ def _make_cover_check(n: int, k: int) -> Callable[[int], bool]:
             if need == 0:
                 return True
             while cand:
-                if bin(cand).count("1") < need:
+                if cand.bit_count() < need:
                     return False
                 low = cand & -cand
                 cand ^= low
@@ -155,7 +155,7 @@ def _make_cover_check(n: int, k: int) -> Callable[[int], bool]:
         for v in range(n):
             if covered >> v & 1:
                 continue
-            if bin(rows[v]).count("1") < k - 1 or not grow(rows[v], k - 1):
+            if rows[v].bit_count() < k - 1 or not grow(rows[v], k - 1):
                 return False
             covered |= 1 << v
         return True
@@ -177,7 +177,10 @@ def _report(
     if mask is not None:
         witness = tuple(pairs[e] for e in range(len(pairs)) if mask >> e & 1)
         g = from_simple_graph(n, witness)
-        assert verify_enabling(g, ((0, k1), (1, k2))).ok
+        if not verify_enabling(g, ((0, k1), (1, k2))).ok:
+            raise LemmaViolation(
+                f"the scan's witness on n={n} is not ({k1}, {k2})-enabling"
+            )
     return SearchReport(
         k1=k1,
         k2=k2,
@@ -298,7 +301,8 @@ def exists_enabling(
                     progress(next_tick)
                     next_tick += PROGRESS_STEP
 
-    assert enumerated == total
+    if enumerated != total:
+        raise LemmaViolation(f"the scan covered {enumerated} of {total} masks")
     return _report(n, k1, k2, None, pairs, enumerated, pruned, t0)
 
 

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+import enabling
 from enabling.bounds import (
     f_eval,
     f_max,
@@ -116,6 +121,32 @@ def test_multicolour_sandwich_and_trivial_floor():
             lo, hi = multicolour_lower(r, k), multicolour_upper(r, k)
             assert r * (k - 1) + 1 <= lo <= hi
             assert hi <= 2 * r * (k - 1)
+
+
+def test_multicolour_lower_integrality_guard_survives_optimisation_flag():
+    """A fractional quadratic bound raises LemmaViolation under python -O
+    instead of being truncated by int()."""
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from enabling import bounds
+
+        assert False, "asserts must be stripped in this run"
+        bounds.f_max = lambda r, k, x: Fraction(17, 2)
+        try:
+            bounds.multicolour_lower(3, 3)
+        except bounds.LemmaViolation as exc:
+            print("rejected:", exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(enabling.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert out == "rejected: f_max(3, 3, 2) = 17/2 is not an integer\n"
 
 
 def test_two_colour_report_contents():

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enabling import certificates
 from enabling.certificates import (
@@ -228,3 +229,253 @@ def test_recheck_catches_wrong_graph_size():
     bigger = p4_blowup(5)
     issues = check_certificate(bigger, doc)
     assert issues and "certificate is for" in issues[0]
+
+
+@pytest.mark.parametrize(
+    "g,targets",
+    [
+        (two_colour_extremal(3, 3), ((0, 3), (1, 3))),
+        (two_colour_extremal(2, 10), ((0, 2), (1, 10))),
+        (two_colour_extremal(5, 5), ((0, 5), (1, 5))),
+        (multicolour_blocks(3, 3), tuple((c, 3) for c in range(3))),
+        (multicolour_blocks(2, 4), tuple((c, 4) for c in range(2))),
+        (prime_slope(3), tuple((c, 3) for c in range(4))),
+        (prime_slope(5), tuple((c, 5) for c in range(6))),
+    ],
+)
+def test_certify_builds_the_per_vertex_lex_family_of_choose_family(g, targets):
+    # certify builds the family from verify_enabling's witnesses, not from a
+    # second clique search; the result must not depend on that.
+    res = certify(g, targets, policy=PER_VERTEX_LEX)
+    for cert, (colour, k) in zip(res.certificates, targets):
+        fam = choose_family(g, colour, k, PER_VERTEX_LEX)
+        assert cert.family.cliques == fam.cliques
+        assert cert.family.covered == fam.covered
+
+
+def _rational(x):
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def _set_clique(vertices):
+    def mutate(doc):
+        doc["certificates"][0]["cliques"][0] = vertices
+    return mutate
+
+
+def _uncover(doc):
+    # colour 0 of p4_blowup(5): the clique (1, 2) carries no mu weight and
+    # is not the lightest under lambda, so dropping it leaves every sum intact
+    # but vertex 1 uncovered
+    cert = doc["certificates"][0]
+    assert cert["cliques"][1] == [1, 2] and cert["mu"][1]["num"] == "0"
+    del cert["cliques"][1], cert["mu"][1]
+
+
+# (path-graph size, mutation, an expected issue).  The first block are
+# documents whose arithmetic is consistent but which do not prove the bound;
+# the second block are malformed documents that must give an issue, not an
+# exception.
+PROBES = {
+    "no certificates": (
+        4, lambda d: d.update(certificates=[], pairwise=[]), "certifies no colour"
+    ),
+    "targets disagree": (
+        4, lambda d: d.update(targets=[[0, 2], [1, 3]]), "targets do not match"
+    ),
+    "colour twice": (
+        4,
+        lambda d: d.update(
+            certificates=[d["certificates"][0]] * 2,
+            targets=[[0, 2], [0, 2]],
+            pairwise=[],
+        ),
+        "certified twice",
+    ),
+    "missing pairwise row": (
+        4, lambda d: d.update(pairwise=[]), "no pairwise row for colours (0, 1)"
+    ),
+    "uncovered vertex": (5, _uncover, "vertex 1 lies in none of the cliques"),
+    "empty clique family": (
+        4,
+        lambda d: d["certificates"][0].update(cliques=[], mu=[]),
+        "vertex 0 lies in none",
+    ),
+    "ceiling above the bound": (
+        4, lambda d: d["bound"].update(ceiling=5), "is not the ceiling"
+    ),
+    "vertex out of range": (4, _set_clique([0, 4]), "leaves 0..3"),
+    "negative vertex": (4, _set_clique([-1, 0]), "leaves 0..3"),
+    "repeated vertex": (4, _set_clique([1, 1]), "repeats a vertex"),
+    "vertex is a string": (4, _set_clique(["0", 1]), "malformed"),
+    "vertex is a float": (4, _set_clique([0.0, 1]), "malformed"),
+    "vertex is a boolean": (4, _set_clique([False, True]), "malformed"),
+    "zero denominator": (
+        4,
+        lambda d: d["certificates"][0].update(delta={"num": "1", "den": "0"}),
+        "malformed",
+    ),
+    "negative denominator": (
+        4,
+        lambda d: d["certificates"][0]["lambda"].__setitem__(
+            0, {"num": "-1", "den": "-2"}
+        ),
+        "malformed",
+    ),
+    "non-numeric rational": (
+        4,
+        lambda d: d["certificates"][0]["mu"].__setitem__(0, {"num": "x", "den": "2"}),
+        "malformed",
+    ),
+    "numeral not a string": (
+        4,
+        lambda d: d["pairwise"][0].update(delta_sum={"num": 1, "den": 1}),
+        "malformed",
+    ),
+    "fractional k": (
+        4, lambda d: d["certificates"][1].update(k=2.5), "malformed"
+    ),
+    "missing field": (
+        4, lambda d: d["certificates"][0].pop("mu"), "malformed"
+    ),
+    "not an object": (4, lambda d: d["certificates"].__setitem__(0, []), "malformed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_recheck_rejects_unsound_and_malformed_documents(name):
+    n, mutate, expected = PROBES[name]
+    g = p4_blowup(n)
+    doc = json.loads(certify(g, ((0, 2), (1, 2))).to_json())
+    assert check_certificate(g, doc) == []
+    mutate(doc)
+    issues = check_certificate(g, doc)
+    assert issues and all(isinstance(i, str) for i in issues)
+    assert any(expected in i for i in issues), issues
+
+
+@st.composite
+def colour_documents(draw):
+    """One colour's certificate on a one-colour complete graph, with measures
+    that are mostly exact and sometimes slightly wrong."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    subsets = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    cliques = [tuple(sorted(q)) for q in draw(st.lists(subsets, min_size=1, max_size=4))]
+    weights = st.fractions(0, 2, max_denominator=12)
+    mostly = st.sampled_from([True, True, True, False])
+
+    def measure(size):
+        ws = draw(st.lists(weights, min_size=size, max_size=size))
+        if sum(ws) > 0 and draw(mostly):
+            ws = [w / sum(ws) for w in ws]
+        if ws and not draw(mostly):
+            # move some mass, which keeps the total but may go negative
+            ws[draw(st.integers(0, size - 1))] -= F(1, 7)
+            ws[draw(st.integers(0, size - 1))] += F(1, 7)
+        return ws
+
+    lam = measure(n if draw(mostly) else n - 1)
+    mu = measure(len(cliques) if draw(mostly) else len(cliques) + 1)
+    masses = [F(0)] * n
+    for q, w in zip(cliques, mu):
+        for v in q:
+            masses[v] += w
+    if not draw(mostly):
+        masses[draw(st.integers(0, n - 1))] += F(1, 11)
+    if len(lam) == n and draw(mostly):
+        delta = min(sum(lam[v] for v in q) for q in cliques)
+    else:
+        delta = draw(weights)
+    return n, k, cliques, lam, mu, masses, delta
+
+
+def _reference_issues(n, cliques, lam, mu, masses, delta):
+    """The measure checks in plain Fraction arithmetic."""
+    found = set()
+    if len(lam) != n or any(w < 0 for w in lam) or sum(lam) != 1:
+        found.add("lambda is not a probability measure")
+    elif min(sum(lam[v] for v in q) for q in cliques) != delta:
+        found.add("lambda does not achieve the stated delta")
+    if len(mu) != len(cliques) or any(w < 0 for w in mu) or sum(mu) != 1:
+        found.add("mu is not a probability measure")
+    else:
+        induced = [F(0)] * n
+        for q, w in zip(cliques, mu):
+            for v in q:
+                induced[v] += w
+        if masses != induced:
+            found.add("stored mu vertex masses are wrong")
+        if max(induced) > delta:
+            found.add("mu vertex mass exceeds delta")
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(colour_documents())
+def test_integer_measure_checks_match_fraction_reference(case):
+    n, k, cliques, lam, mu, masses, delta = case
+    doc = {
+        "n": n,
+        "r": 1,
+        "targets": [[0, k]],
+        "policy": "all-cliques",
+        "certificates": [
+            {
+                "colour": 0,
+                "k": k,
+                "cliques": [list(q) for q in cliques],
+                "delta": _rational(delta),
+                "alpha": _rational(1 / delta if delta else F(1)),
+                "lambda": [_rational(w) for w in lam],
+                "mu": [_rational(w) for w in mu],
+                "mu_vertex_mass": [_rational(w) for w in masses],
+            }
+        ],
+        "pairwise": [],
+        "bound": {"value": _rational(F(n)), "ceiling": n},
+    }
+    issues = check_certificate(monochromatic_complete(n, r=1), doc)
+    expected = _reference_issues(n, cliques, lam, mu, masses, delta)
+    got = {name for name in _MEASURE_ISSUES if any(name in i for i in issues)}
+    assert got == expected, issues
+
+
+_MEASURE_ISSUES = (
+    "lambda is not a probability measure",
+    "lambda does not achieve the stated delta",
+    "mu is not a probability measure",
+    "stored mu vertex masses are wrong",
+    "mu vertex mass exceeds delta",
+)
+
+
+@st.composite
+def families_with_measures(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    subsets = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    cliques = sorted({tuple(sorted(q)) for q in draw(st.lists(subsets, min_size=1))})
+    share = st.fractions(0, 1, max_denominator=30)
+    raw = draw(st.lists(share, min_size=len(cliques), max_size=len(cliques)))
+    raw[0] += 1  # a positive total
+    mu = FamilyMeasure(tuple(w / sum(raw) for w in raw))
+    other = draw(st.lists(share, min_size=n, max_size=n))
+    return n, CliqueFamily(0, k, tuple(cliques)), mu, other
+
+
+@settings(max_examples=200, deadline=None)
+@given(families_with_measures())
+def test_integer_masses_and_products_match_fraction_reference(case):
+    n, fam, mu, other = case
+    reference = [F(0)] * n
+    for q, w in zip(fam.cliques, mu.weights):
+        for v in q:
+            reference[v] += w
+    masses = mu_vertex_masses(n, fam, mu)
+    assert list(masses) == reference
+    product = certificates._product_sum(
+        certificates._common_denominator(masses),
+        certificates._common_denominator(other),
+    )
+    assert product == sum((a * b for a, b in zip(reference, other)), F(0))

@@ -98,6 +98,36 @@ def test_certify_check_mode_round_trips(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["certificates"][0].update(delta={"num": "1", "den": "0"}),
+        lambda d: d["certificates"][0]["lambda"][0].update(num="one"),
+        lambda d: d["certificates"][0]["cliques"].__setitem__(0, [0, 7]),
+        lambda d: d["certificates"][0]["cliques"].__setitem__(0, [1, 1]),
+        lambda d: d["certificates"][0]["cliques"].__setitem__(0, ["0", 1]),
+        lambda d: d.update(certificates=[], pairwise=[]),
+    ],
+    ids=["zero-den", "non-numeric", "out-of-range", "repeated", "string", "empty"],
+)
+def test_certify_check_rejects_malformed_documents_with_exit_one(
+    tmp_path, capsys, mutate
+):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(run(capsys, "construct", "--family", "p4", "--params", "4")[1])
+    code, cout, _ = run(
+        capsys, "certify", "--graph", str(gpath), "--targets", "0:2,1:2"
+    )
+    doc = json.loads(cout)
+    mutate(doc)
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--graph", str(gpath), "--check", str(cpath))
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+    assert "Traceback" not in err
+
+
 def test_certify_not_enabling_is_exit_one(tmp_path, capsys):
     g = EdgeColouredGraph(4, 2, (0,) * 6)
     path = tmp_path / "red.json"

@@ -69,6 +69,26 @@ def test_adjacency_bitmasks_agree_with_colour_of():
                 assert bool(adj[u] >> v & 1) == expected
 
 
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, 299), min_size=pair_count(n), max_size=pair_count(n)),
+        )
+    )
+)
+def test_adjacency_matches_a_pair_by_pair_reference(case):
+    n, colours = case
+    g = build(n, 300, colours)
+    for c in set(colours) | {0}:
+        masks = [0] * n
+        for (u, v), colour in zip(pairs(n), colours):
+            if colour == c:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        assert g.adjacency(c) == tuple(masks)
+
+
 def test_is_monochromatic_clique_against_bruteforce():
     g = build(6, 2, [(i * 7 + 3) % 2 for i in range(15)])
     for k in range(1, 5):

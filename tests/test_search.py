@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import enabling
 from enabling.cliques import verify_enabling
 from enabling.graphs import from_simple_graph, pairs
 from enabling.search import SearchReport, exists_enabling, min_n
@@ -132,3 +137,43 @@ def test_impossible_targets_short_circuit():
     assert not fast.found and not slow.found
     assert fast.graphs_enumerated == slow.graphs_enumerated == 64
     assert fast.graphs_pruned == 64
+
+
+
+def test_search_guards_survive_optimisation_flag():
+    """A witness the verifier rejects, and a scan that misses masks, raise
+    LemmaViolation under python -O instead of being reported."""
+    code = textwrap.dedent(
+        """
+        import builtins
+        from enabling import search
+        from enabling.bounds import LemmaViolation
+        from enabling.cliques import EnablingReport
+
+        assert False, "asserts must be stripped in this run"
+        real = search.verify_enabling
+        search.verify_enabling = lambda g, t: EnablingReport(t, False, {}, (0, 0))
+        try:
+            search.exists_enabling(4, 2, 2)
+        except LemmaViolation as exc:
+            print("rejected:", exc)
+        search.verify_enabling = real
+        # Shadow the module's range so the scan skips its one top-level block.
+        search.range = lambda *a: range(0) if a == (1,) else builtins.range(*a)
+        try:
+            search.exists_enabling(3, 2, 2, prune=False)
+        except LemmaViolation as exc:
+            print("rejected:", exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(enabling.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "rejected: the scan's witness on n=4 is not (2, 2)-enabling",
+        "rejected: the scan covered 0 of 8 masks",
+    ]
