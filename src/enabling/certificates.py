@@ -11,6 +11,12 @@ both sides without trusting the solver: lam achieves delta, while for any
 measure lam' the average of lam'(C) under mu is at most max_v mu-mass(v), so
 no measure can beat delta.
 
+One exact LP per colour gives both: max delta subject to lam(C) >= delta
+for every C and sum(lam) <= 1, whose clique duals, normalised, are mu.  It
+is solved on the quotient of the colour-refinement partition of the
+vertex-clique incidence, and the lifted solution is audited at full size
+with integer arithmetic, so soundness never rests on the reduction.
+
 ``certify`` runs the full pipeline for every target colour of a graph,
 asserts the cross-colour laws (delta_i + delta_j <= 1, sum_v mu_i mu_j <= 1,
 cliques of distinct colours share at most one vertex), and evaluates the
@@ -22,9 +28,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -37,6 +44,7 @@ from .cliques import (
     choose_family,
     verify_enabling,
 )
+from . import lp
 from .graphs import EdgeColouredGraph
 from .lp import LE, solve_lp_exact
 
@@ -99,11 +107,8 @@ def _common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _check_probability(weights: Sequence[Fraction]) -> None:
     nums, den = _common_denominator(weights)
-    for a in nums:
-        if a < 0:
-            raise ValueError(f"negative weight {Fraction(a, den)}")
-    if sum(nums) != den:
-        raise ValueError("weights must sum to 1")
+    if min(nums, default=0) < 0 or sum(nums) != den:
+        raise ValueError("weights must be nonnegative and sum to 1")
 
 
 def _vertex_masses(
@@ -120,102 +125,95 @@ def _vertex_masses(
 
 
 def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+    return sum(1 << v for v in set(vertices))
+
+
+def _refine(n: int, cliques: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Coarsest equitable partition of the vertex-clique incidence, as a cell
+    per vertex and per clique, by colour refinement: from one cell per side,
+    split the sides in turn by each member's cell and the sorted multiset of
+    its neighbours' cells, until a split leaves its side's count unchanged.
+    Multisets are compared whole, never by a hash, so a collision cannot
+    leave a cell whose members see different counts."""
+    member_of: list[list[int]] = [[] for _ in range(n)]
+    for i, c in enumerate(cliques):
+        for v in c:
+            member_of[v].append(i)
+    cells, counts = [[0] * len(cliques), [0] * n], [1, 1]
+    for step in count():
+        side = step % 2
+        other = cells[1 - side].__getitem__
+        ids: dict = {}
+        cells[side] = [
+            ids.setdefault((own, tuple(sorted(map(other, nbrs)))), len(ids))
+            for own, nbrs in zip(cells[side], member_of if side else cliques)
+        ]
+        if step and len(ids) == counts[side]:
+            return cells[1], cells[0]
+        counts[side] = len(ids)
 
 
 def compute_delta(
     g: EdgeColouredGraph, fam: CliqueFamily
-) -> tuple[Fraction, VertexMeasure]:
-    """Exact value and maximiser of max_lam min_{C in fam} lam(C).
+) -> tuple[Fraction, VertexMeasure, tuple[Fraction, ...]]:
+    """Exact delta, a maximiser lam and the LP's clique duals.
 
-    The mass constraint is posed as sum(lam) <= 1; scaling any sub-unit
-    measure up improves the objective, so every optimum is tight and the
-    returned measure sums to 1 exactly.
+    The quotient LP has one variable per vertex cell, one row per clique
+    cell and the mass row weighted by cell sizes.  lam is lifted uniform on
+    each vertex cell and the dual Y_b of clique cell b as Y_b / |b| on each
+    of its cliques; ``lp._certify_optimal`` then audits the pair on the
+    full-size LP, so a partition that is not equitable raises AuditFailure.
+    The mass row is tight at the optimum, so lam sums to 1 exactly.
     """
-    if not fam.cliques:
+    cliques = fam.cliques
+    if not cliques:
         raise ValueError("clique family is empty")
-    n = g.n
+    n, m = g.n, len(cliques)
+    vcell, ccell = _refine(n, cliques)
+    p, q = max(vcell) + 1, max(ccell) + 1
+    vsize, csize = Counter(vcell), Counter(ccell)
+    reps: dict[int, tuple[int, ...]] = {}
+    for c, b in zip(cliques, ccell):
+        reps.setdefault(b, c)
     constraints = []
-    for c in fam.cliques:
-        row = [0] * (n + 1)
-        for v in c:
-            row[v] = -1
-        row[n] = 1
+    for b in range(q):
+        row = [0] * p + [1]
+        for v in reps[b]:
+            row[vcell[v]] -= 1
         constraints.append((row, LE, 0))
-    constraints.append(([1] * n + [0], LE, 1))
-    objective = [0] * n + [1]
-    sol = solve_lp_exact(objective, constraints)
+    constraints.append(([vsize[a] for a in range(p)] + [0], LE, 1))
+    sol = solve_lp_exact([0] * p + [1], constraints)
     delta = sol.value
-    lam = VertexMeasure(sol.primal[:n])
-    w, den = _common_denominator(lam.weights)
-    least = min(sum(w[v] for v in c) for c in fam.cliques)
-    if least * delta.denominator != delta.numerator * den:
-        raise LemmaViolation(f"the maximiser does not give every clique mass {delta}")
+    lam = [sol.primal[a] for a in vcell]
+    duals = [sol.dual[b] / csize[b] for b in ccell]
+    rows = [{**dict.fromkeys(c, -1), n: 1} for c in cliques]
+    rows.append(dict.fromkeys(range(n), 1))
+    ones = [1] * (m + 1)
+    full = lp._Problem([0] * n + [1], 1, rows, [LE] * (m + 1), [0] * m + [1], ones)
+    lp._certify_optimal(full, lam + [delta], duals + [sol.dual[q]], delta)
     if delta < Fraction(fam.k, n):
-        raise LemmaViolation(
-            f"delta {delta} fell below the uniform-measure floor {fam.k}/{n}"
-        )
-    return delta, lam
-
-
-def _essential_vertex_rows(n: int, cliques: Sequence[tuple[int, ...]]) -> list[int]:
-    """Vertices whose mass constraints are not implied by another vertex.
-
-    Vertex u dominates v when every clique through v also passes through u;
-    the dominated constraint can never bind first and is dropped.
-    """
-    member_mask = [0] * n
-    for i, c in enumerate(cliques):
-        bit = 1 << i
-        for v in c:
-            member_mask[v] |= bit
-    keep = []
-    for v in range(n):
-        mv = member_mask[v]
-        if mv == 0:
-            continue
-        dominated = False
-        for u in range(n):
-            if u == v:
-                continue
-            mu_ = member_mask[u]
-            if mv & ~mu_ == 0 and (mv != mu_ or u < v):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(v)
-    return keep
+        raise LemmaViolation(f"delta {delta} fell below the uniform floor {fam.k}/{n}")
+    return delta, VertexMeasure(tuple(lam)), tuple(duals)
 
 
 def construct_mu(
-    g: EdgeColouredGraph, fam: CliqueFamily, delta: Fraction
+    g: EdgeColouredGraph, fam: CliqueFamily, delta: Fraction, duals: Sequence[Fraction]
 ) -> FamilyMeasure:
-    """Probability measure on fam whose vertex masses all stay within delta.
+    """The clique duals of ``compute_delta``'s LP, divided by their sum: a
+    probability measure on fam whose vertex masses stay within delta.
 
-    Solves max sum(mu) subject to the per-vertex mass caps directly; the
-    optimum is provably at least 1 whenever delta is the exact measure value
-    for fam, so a smaller optimum raises LemmaViolation.
+    Every such measure puts mass at least the exact delta on some vertex
+    (average its masses under an optimal lam), so an understated delta
+    raises LemmaViolation whatever duals are given.
     """
     if not fam.cliques:
         raise ValueError("clique family is empty")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    m = len(fam.cliques)
-    constraints = []
-    for v in _essential_vertex_rows(g.n, fam.cliques):
-        row = [1 if v in c else 0 for c in fam.cliques]
-        constraints.append((row, LE, delta))
-    sol = solve_lp_exact([1] * m, constraints)
-    total = sol.value
-    if total < 1:
-        raise LemmaViolation(
-            f"clique-measure packing reached only {total}; "
-            f"it must reach 1 when delta={delta} is exact"
-        )
-    mu = FamilyMeasure(tuple(w / total for w in sol.primal))
+    total = sum(duals, Fraction(0))
+    if len(duals) != len(fam.cliques) or total <= 0:
+        raise ValueError("need one dual per clique, with a positive sum")
+    mu = FamilyMeasure(tuple(y / total for y in duals))
     w, den = _common_denominator(mu.weights)
     if max(_vertex_masses(g.n, fam.cliques, w)) * delta.denominator > (
         delta.numerator * den
@@ -397,6 +395,16 @@ def _unrat(doc: dict) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def _universal(k1: int, k2: int) -> tuple[int, str]:
+    """The closed-form two-colour lower bound, and (sqrt(k1-1) + sqrt(k2-1))^2
+    written out, as an integer when it is one."""
+    a, b = k1 - 1, k2 - 1
+    root = isqrt(a * b)
+    square = root * root == a * b
+    form = str(a + b + 2 * root) if square else f"{a + b} + 2*sqrt({a * b})"
+    return two_colour_lower(k1, k2), form
+
+
 def _ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
@@ -429,25 +437,15 @@ def certify(
             fam = _lex_family(colour, k, found)
         else:
             fam = choose_family(g, colour, k, policy)
-        delta, lam = compute_delta(g, fam)
+        delta, lam, duals = compute_delta(g, fam)
         if not support_clique_check(g, colour, lam, delta):
             raise LemmaViolation(
                 f"delta {delta} > 1/2 but the maximiser support is not a "
                 f"colour-{colour} clique"
             )
-        mu = construct_mu(g, fam, delta)
-        certs.append(
-            ColourCertificate(
-                colour=colour,
-                k=k,
-                family=fam,
-                delta=delta,
-                alpha=1 / delta,
-                lam=lam,
-                mu=mu,
-                mu_vertex_mass=mu_vertex_masses(g.n, fam, mu),
-            )
-        )
+        mu = construct_mu(g, fam, delta, duals)
+        certs.append(ColourCertificate(
+            colour, k, fam, delta, 1 / delta, lam, mu, mu_vertex_masses(g.n, fam, mu)))
 
     masses = [_common_denominator(c.mu_vertex_mass) for c in certs]
     masks = [[_mask(q) for q in c.family.cliques] for c in certs]
@@ -472,27 +470,13 @@ def certify(
                     f"cliques of colours {ci.colour} and {cj.colour} "
                     f"share two or more vertices"
                 )
-            pairwise.append(
-                PairwiseCheck(
-                    colours=(ci.colour, cj.colour),
-                    delta_sum=dsum,
-                    mu_product_sum=psum,
-                    max_intersection=inter,
-                )
-            )
+            pairwise.append(PairwiseCheck((ci.colour, cj.colour), dsum, psum, inter))
 
-    universal_lower = None
-    universal_form = None
+    universal_lower = universal_form = None
     if len(certs) == 2:
         k1, k2 = certs[0].k, certs[1].k
         bound = two_colour_bound(k1, k2, certs[0].delta, certs[1].delta)
-        universal_lower = two_colour_lower(k1, k2)
-        a, b = k1 - 1, k2 - 1
-        root = isqrt(a * b)
-        if root * root == a * b:
-            universal_form = str(a + b + 2 * root)
-        else:
-            universal_form = f"{a + b} + 2*sqrt({a * b})"
+        universal_lower, universal_form = _universal(k1, k2)
     else:
         ks = {k for _, k in targets}
         if len(ks) != 1:
@@ -500,12 +484,11 @@ def certify(
                 "multicolour certification needs a uniform clique target, "
                 f"got {sorted(ks)}"
             )
-        k = ks.pop()
         r = len(certs)
         alpha_bar = sum((c.alpha for c in certs), Fraction(0)) / r
         if alpha_bar < 2:
             raise LemmaViolation(f"mean alpha {alpha_bar} fell below 2")
-        bound = f_max(r, k, alpha_bar)
+        bound = f_max(r, ks.pop(), alpha_bar)
 
     if bound > g.n:
         raise LemmaViolation(
@@ -541,7 +524,10 @@ def certificate_from_json_dict(doc: dict) -> dict:
         "pairwise": [],
         "bound": _unrat(doc["bound"]["value"]),
         "bound_ceiling": _int(doc["bound"]["ceiling"]),
+        "universal": None,
     }
+    if doc.get("universal") is not None:
+        out["universal"] = (_int(doc["universal"]["lower"]), doc["universal"]["form"])
     for c in doc["certificates"]:
         out["certificates"].append(
             {
@@ -576,9 +562,10 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
     with its k; its cliques are size-k cliques of that colour covering every
     vertex; lambda achieves delta and the mu vertex masses cap it, so delta
     is exact from both sides; every colour pair has a row whose sums and
-    intersection hold; and the bound and its ceiling follow from the deltas.
-    Measures are compared as integers over one common denominator per
-    vector, and cliques as adjacency bitmasks.
+    intersection hold; the bound and its ceiling follow from the deltas; for
+    two colours, and only then, the stored closed-form bound matches the
+    targets; and the policy is a known one.  Measures are compared as
+    integers over one common denominator per vector, cliques as bitmasks.
     """
     try:
         cert = certificate_from_json_dict(doc)
@@ -629,11 +616,14 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
     for pair in combinations(sorted(seen), 2):
         if pair not in rows:
             issues.append(f"no pairwise row for colours {pair}")
+    if cert["policy"] not in (ALL_CLIQUES, PER_VERTEX_LEX):
+        issues.append(f"unknown policy {cert['policy']!r}")
+    universal = cert["universal"]
     if len(certs) == 2:
+        k1, k2 = certs[0]["k"], certs[1]["k"]
         try:
-            expected = two_colour_bound(
-                certs[0]["k"], certs[1]["k"], certs[0]["delta"], certs[1]["delta"]
-            )
+            expected = two_colour_bound(k1, k2, certs[0]["delta"], certs[1]["delta"])
+            closed_form = _universal(k1, k2)
         except ValueError as exc:
             issues.append(f"bound cannot be recomputed: {exc}")
         else:
@@ -641,7 +631,11 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
                 issues.append(
                     f"stored bound {cert['bound']} != recomputed {expected}"
                 )
+            if universal != closed_form:
+                issues.append(f"stored universal bound {universal} != {closed_form}")
     else:
+        if universal is not None:
+            issues.append("a universal bound is stored for other than two colours")
         ks = {c["k"] for c in certs}
         alpha_bar = sum((c["alpha"] for c in certs), Fraction(0)) / len(certs)
         if len(ks) != 1 or alpha_bar < 2:

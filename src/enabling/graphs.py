@@ -74,6 +74,8 @@ class EdgeColouredGraph:
     )
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.r) is not int:
+            raise ValueError("graph fields n and r must be integers")
         if self.n < 1:
             raise ValueError(f"need at least one vertex, got n={self.n}")
         if self.r < 1:
@@ -84,9 +86,15 @@ class EdgeColouredGraph:
                 f"colour sequence has length {len(self.colours)}, "
                 f"expected {expected} for n={self.n}"
             )
-        for c in self.colours:
-            if not 0 <= c < self.r:
-                raise ValueError(f"colour {c} outside range 0..{self.r - 1}")
+        # Passes that run in C, not a Python loop: every graph built is checked.
+        strays = sorted(t.__name__ for t in set(map(type, self.colours)) - {int})
+        if strays:
+            raise ValueError(f"colours must be integers, got {', '.join(strays)}")
+        used = set(self.colours)  # at most r values, so min and max are cheap
+        lo, hi = min(used, default=0), max(used, default=0)
+        if lo < 0 or hi >= self.r:
+            bad = lo if lo < 0 else hi
+            raise ValueError(f"colour {bad} outside range 0..{self.r - 1}")
 
     def colour_of(self, u: int, v: int) -> int:
         """Colour of the edge {u, v}; symmetric in its arguments."""
@@ -151,9 +159,7 @@ class EdgeColouredGraph:
             n, r, colours = doc["n"], doc["r"], doc["colours"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph document missing field: {exc}") from None
-        if not isinstance(n, int) or not isinstance(r, int):
-            raise ValueError("graph fields n and r must be integers")
-        return cls(n, r, tuple(int(c) for c in colours))
+        return cls(n, r, tuple(colours))
 
     @classmethod
     def from_json(cls, text: str) -> "EdgeColouredGraph":

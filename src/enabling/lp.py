@@ -4,16 +4,16 @@ A two-phase tableau simplex with Bland's pivot rule (smallest eligible
 index, ties by smallest basic variable), which terminates on degenerate
 problems.  The tableau is sparse and fraction-free: each row, and the
 objective row, is a dict of its nonzero integer numerators over its own
-positive denominator, kept in lowest terms.  A pivot leaves every row with a
-zero in the pivot column untouched and touches only the nonzeros of the
-others, and no rounding of any kind occurs.
+positive denominator in lowest terms, and a pivot touches only the nonzeros
+of the rows with a nonzero in the pivot column.  Nothing is rounded.
 
-Every solve re-checks its own answer from scratch against the input rows,
-never the tableau: primal feasibility, dual signs, dual feasibility and
-strong duality (equal primal and dual objective values) are verified with
-integer dot products over the nonzeros, the primal put over one common
-denominator and the duals over another.  A failed check raises
-AuditFailure, so ``python -O`` does not remove it.
+Every solve re-checks its own answer against the input rows, never the
+tableau: ``_certify_optimal`` verifies primal feasibility, dual signs, dual
+feasibility and strong duality with integer dot products over the
+nonzeros, and raises AuditFailure, which ``python -O`` keeps.  The same
+audit takes any ``_Problem`` built directly as sparse integer rows;
+``certificates.compute_delta`` uses it to check, at full size, a solution
+lifted from a quotient LP.
 """
 
 from __future__ import annotations

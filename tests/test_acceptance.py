@@ -1,7 +1,7 @@
 """End to end checks for the package's headline guarantees.
 
-Each test prints exactly one pass or fail line, so a full run reads as a
-seven line report.  Run with ``pytest tests/test_acceptance.py -s`` to see
+Each test prints exactly one pass or fail line, so a full run reads as an
+eight line report.  Run with ``pytest tests/test_acceptance.py -s`` to see
 the lines as they complete; under default capture they still appear in the
 captured-output section of any failure.
 
@@ -9,6 +9,7 @@ The tests are ordered so that the LP bookkeeping check at the end observes
 the solves performed by the certificate sweeps earlier in the same process.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -18,6 +19,7 @@ import enabling.lp as lp
 from enabling import (
     PER_VERTEX_LEX,
     certify,
+    check_certificate,
     exists_enabling,
     f_max,
     improved_inequality,
@@ -180,6 +182,25 @@ def test_criterion_6_quadratic_bound_machinery_is_sound():
         info["note"] = (
             f"inequality nonnegative on {n_random} random and {n_binary} binary "
             f"vectors; envelope monotone on [0,4]; block value dominated ({dt:.1f}s)"
+        )
+
+
+def test_criterion_8_certificate_at_eight_hundred_vertices():
+    # Before criterion 7, so that its ledger counts these solves too.
+    with criterion(8) as info:
+        g = two_colour_extremal(201, 201)
+        assert g.n == 800
+        t0 = time.perf_counter()
+        res = certify(g, ((0, 201), (1, 201)), policy=PER_VERTEX_LEX)
+        dt = time.perf_counter() - t0
+        assert res.bound == res.bound_ceiling == 800
+        assert check_certificate(g, json.loads(res.to_json())) == []
+        # The full two-LP path took about 10 s here; the quotient path well
+        # under 1 s.  The bound leaves room for a slow host.
+        assert dt < 5.0, f"certification took {dt:.2f}s"
+        info["note"] = (
+            f"two_colour_extremal(201, 201) on 800 vertices certified at its "
+            f"order and re-checked clean ({dt:.2f}s to certify)"
         )
 
 

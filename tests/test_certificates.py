@@ -27,7 +27,7 @@ from enabling.constructions import (
     two_colour_extremal,
 )
 from enabling.graphs import build, monochromatic_complete
-from enabling.lp import LPSolution
+from enabling.lp import AuditFailure, LPSolution
 
 
 def p4():
@@ -52,7 +52,7 @@ def test_delta_on_path_graph_is_one_half():
     g = p4()
     for colour in (0, 1):
         fam = choose_family(g, colour, 2, ALL_CLIQUES)
-        delta, lam = compute_delta(g, fam)
+        delta, lam, _ = compute_delta(g, fam)
         assert delta == F(1, 2)
         assert sum(lam.weights) == 1
         assert min(lam.mass(c) for c in fam.cliques) == F(1, 2)
@@ -61,7 +61,7 @@ def test_delta_on_path_graph_is_one_half():
 def test_delta_on_monochromatic_clique_is_one():
     g = monochromatic_complete(5, r=2, colour=0)
     fam = choose_family(g, 0, 5, ALL_CLIQUES)
-    delta, lam = compute_delta(g, fam)
+    delta, lam, _ = compute_delta(g, fam)
     assert delta == 1
 
 
@@ -70,15 +70,15 @@ def test_delta_never_below_uniform_floor():
     for g, k in [(two_colour_extremal(3, 3), 3), (multicolour_blocks(3, 3), 3)]:
         for colour in range(g.r):
             fam = choose_family(g, colour, k, PER_VERTEX_LEX)
-            delta, _ = compute_delta(g, fam)
+            delta, _, _ = compute_delta(g, fam)
             assert delta >= F(k, g.n)
 
 
 def test_mu_masses_stay_within_delta_and_sum_to_k():
     g = p4()
     fam = choose_family(g, 0, 2, ALL_CLIQUES)
-    delta, _ = compute_delta(g, fam)
-    mu = construct_mu(g, fam, delta)
+    delta, _, duals = compute_delta(g, fam)
+    mu = construct_mu(g, fam, delta, duals)
     masses = mu_vertex_masses(g.n, fam, mu)
     assert mu.weights == (F(1, 2), F(0), F(1, 2))
     assert max(masses) <= delta
@@ -88,27 +88,44 @@ def test_mu_masses_stay_within_delta_and_sum_to_k():
 def test_construct_mu_rejects_understated_delta():
     g = p4()
     fam = choose_family(g, 0, 2, ALL_CLIQUES)
+    delta, _, duals = compute_delta(g, fam)
+    assert delta == F(1, 2)
     with pytest.raises(LemmaViolation):
-        construct_mu(g, fam, F(1, 4))
+        construct_mu(g, fam, F(1, 4), duals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_construct_mu_rejects_understated_delta_whatever_the_duals(data):
+    # Every probability measure on the family puts mass at least the exact
+    # delta on some vertex, so no choice of duals lets a smaller delta pass.
+    n, fam, mu, _ = data.draw(families_with_measures())
+    g = monochromatic_complete(n, r=1)
+    delta, _, duals = compute_delta(g, fam)
+    below = delta * data.draw(st.fractions(0, 1, max_denominator=30).filter(
+        lambda e: 0 < e < 1))
+    for weights in (duals, mu.weights):
+        with pytest.raises(LemmaViolation, match="exceeds delta"):
+            construct_mu(g, fam, below, weights)
 
 
 def test_lp_answers_are_rechecked_without_asserts(monkeypatch):
-    # Both guards raise LemmaViolation, so python -O keeps them.
+    # The full-size audit raises AuditFailure and the mu cap LemmaViolation,
+    # so python -O keeps both.  The family's quotient has vertex cells
+    # {0, 3}, {1, 2} and clique cells {(0, 1), (2, 3)}, {(1, 2)}.
     g = p4()
     fam = choose_family(g, 0, 2, ALL_CLIQUES)
-    quarter = (F(1, 4),) * 4
-    monkeypatch.setattr(
-        certificates, "solve_lp_exact",
-        lambda *args: LPSolution(F(1), quarter + (F(1),), ()),
-    )
-    with pytest.raises(LemmaViolation, match="does not give every clique mass 1"):
-        compute_delta(g, fam)
-    monkeypatch.setattr(
-        certificates, "solve_lp_exact",
-        lambda *args: LPSolution(F(1), (F(1), F(0), F(0)), ()),
-    )
+    quarter = (F(1, 4),) * 2
+    for answer, problem in [
+        (LPSolution(F(1), quarter + (F(1),), (F(1), F(0), F(1))), "primal"),
+        (LPSolution(F(1, 4), quarter + (F(1, 4),), (F(1, 4), F(0), F(1, 4))),
+         "dual constraint"),
+    ]:
+        monkeypatch.setattr(certificates, "solve_lp_exact", lambda *args: answer)
+        with pytest.raises(AuditFailure, match=problem):
+            compute_delta(g, fam)
     with pytest.raises(LemmaViolation, match="exceeds delta"):
-        construct_mu(g, fam, F(1, 2))
+        construct_mu(g, fam, F(1, 2), (F(1), F(0), F(0)))
 
 
 def test_pairwise_intersections():
@@ -264,12 +281,17 @@ def _set_clique(vertices):
 
 
 def _uncover(doc):
-    # colour 0 of p4_blowup(5): the clique (1, 2) carries no mu weight and
-    # is not the lightest under lambda, so dropping it leaves every sum intact
-    # but vertex 1 uncovered
+    # colour 0 of p4_blowup(5): the twins 0 and 1 each lie in one clique,
+    # with vertex 2, of mu weight 1/4, and have equal colour-1 masses.
+    # Moving the weight of (1, 2) onto (0, 2) and dropping (1, 2) leaves
+    # every sum and cap intact but vertex 1 uncovered.
     cert = doc["certificates"][0]
-    assert cert["cliques"][1] == [1, 2] and cert["mu"][1]["num"] == "0"
+    quarter, half, zero = ({"num": a, "den": b} for a, b in ("14", "12", "01"))
+    assert cert["cliques"][:2] == [[0, 2], [1, 2]]
+    assert cert["mu"][:2] == cert["mu_vertex_mass"][:2] == [quarter, quarter]
     del cert["cliques"][1], cert["mu"][1]
+    cert["mu"][0] = half
+    cert["mu_vertex_mass"][:2] = [half, zero]
 
 
 # (path-graph size, mutation, an expected issue).  The first block are
@@ -304,6 +326,14 @@ PROBES = {
     "ceiling above the bound": (
         4, lambda d: d["bound"].update(ceiling=5), "is not the ceiling"
     ),
+    "universal lower understated": (
+        4, lambda d: d["universal"].update(lower=3), "stored universal bound"
+    ),
+    "universal form nonsense": (
+        4, lambda d: d["universal"].update(form="nonsense"), "stored universal bound"
+    ),
+    "universal missing": (4, lambda d: d.pop("universal"), "stored universal bound"),
+    "unknown policy": (4, lambda d: d.update(policy="greedy"), "unknown policy"),
     "vertex out of range": (4, _set_clique([0, 4]), "leaves 0..3"),
     "negative vertex": (4, _set_clique([-1, 0]), "leaves 0..3"),
     "repeated vertex": (4, _set_clique([1, 1]), "repeats a vertex"),
@@ -339,7 +369,19 @@ PROBES = {
         4, lambda d: d["certificates"][0].pop("mu"), "malformed"
     ),
     "not an object": (4, lambda d: d["certificates"].__setitem__(0, []), "malformed"),
+    "universal not an object": (4, lambda d: d.update(universal=[4]), "malformed"),
+    "universal lower a string": (
+        4, lambda d: d["universal"].update(lower="4"), "malformed"
+    ),
 }
+
+
+def test_recheck_rejects_a_universal_bound_beyond_two_colours():
+    g = multicolour_blocks(3, 3)
+    doc = json.loads(certify(g, tuple((c, 3) for c in range(3))).to_json())
+    assert "universal" not in doc and check_certificate(g, doc) == []
+    doc["universal"] = {"lower": 9, "form": "9"}
+    assert any("other than two colours" in i for i in check_certificate(g, doc))
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))

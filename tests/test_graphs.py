@@ -53,6 +53,25 @@ def test_build_validates_colour_list():
         build(3, 0, [])
 
 
+def test_build_rejects_colours_that_are_not_integers():
+    # A float or bool colour would break canonical JSON: [1.0, 0, 1] would
+    # serialise as 1.0 and read back as a different byte string.
+    # A bad value hidden behind an equal integer ([1, 0, True]) is found too.
+    for bad in ([1.0, 0, 1], [1, 0, True], [0, 1, 1.0], ["1", 0, 1], [0, 1, None]):
+        with pytest.raises(ValueError, match="must be integers"):
+            build(3, 2, bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        EdgeColouredGraph.from_json('{"n": 3, "r": 2, "colours": [1.0, 0, 1]}')
+    with pytest.raises(ValueError, match="colour -1 outside"):
+        build(3, 2, [-1, 0, 1])
+    for doc in ('{"n": true, "r": 1, "colours": []}', '{"n": 2, "r": 1.0, "colours": [0]}'):
+        with pytest.raises(ValueError, match="n and r must be integers"):
+            EdgeColouredGraph.from_json(doc)
+    text = build(3, 2, [1, 0, 1]).to_json()
+    assert EdgeColouredGraph.from_json(text).to_json() == text
+    assert build(1, 1, []).colours == ()
+
+
 def test_colour_of_is_symmetric():
     g = build(4, 2, [0, 1, 1, 0, 1, 0])
     for u, v in pairs(4):
