@@ -1,8 +1,11 @@
 """Exact monochromatic clique search and the per-vertex covering verifier.
 
-Cliques are found by branch and bound over neighbourhood bitmasks, always
-extending by the smallest admissible vertex, so the first clique reached is
-the lexicographically smallest one.
+Cliques are walked depth first over neighbourhood bitmasks, always extending
+by the smallest candidate, so they come in lexicographic order.  Witnesses
+take one such walk per colour, pruned to the vertices still uncovered: each
+vertex gets the first clique that contains it, its lexicographically
+smallest.  Both walks keep their own stack, so k is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,71 @@ PER_VERTEX_LEX = "per-vertex-lex"
 ALL_CLIQUES = "all-cliques"
 
 
+def _members(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _lex_witnesses(
+    adj: Sequence[int], n: int, k: int, wanted: int
+) -> list[tuple[int, ...] | None]:
+    """Each wanted vertex's lexicographically smallest size-k clique, or None.
+
+    One depth-first walk on its own stack, always extending by the smallest
+    candidate, visits the cliques within the wanted vertices' closed
+    neighbourhoods in lexicographic order.  It prunes a node with too few
+    candidates, or whose chosen vertices and candidates hold no vertex of
+    ``left``, the wanted vertices still without a witness.  As ``left`` only
+    shrinks, each clique reached is the first one containing each vertex of
+    ``left`` in it: they take it as their witness and leave.
+    """
+    if k < 1:
+        raise ValueError(f"clique size must be positive, got {k}")
+    out: list[tuple[int, ...] | None] = [None] * n
+    cand, left, mask, need = wanted, wanted, 0, k  # mask: the vertices of chosen
+    for v in _members(wanted):
+        cand |= adj[v]
+    chosen: list[int] = []
+    stack: list[int] = []  # the candidates left at each level above
+    while True:
+        if not need:
+            cand = 0  # chosen is a clique
+        size = cand.bit_count()
+        if size >= need and (mask | cand) & left:
+            if size > need:
+                low = cand & -cand
+                cand ^= low  # now only vertices after the one chosen
+                stack.append(cand)
+                w = low.bit_length() - 1
+                chosen.append(w)
+                mask |= low
+                cand &= adj[w]
+                need -= 1
+                continue
+            # The only clique below takes every candidate, if they are
+            # pairwise adjacent.
+            rest = _members(cand)
+            if all(cand & ~adj[w] == 1 << w for w in rest):
+                clique = (*chosen, *rest)
+                hits = (mask | cand) & left
+                left ^= hits
+                for v in _members(hits):
+                    out[v] = clique
+                if not left:
+                    break
+        if not stack:
+            break
+        cand = stack.pop()
+        mask ^= 1 << chosen.pop()
+        need += 1
+    return out
+
+
 def find_clique_containing(
     g: EdgeColouredGraph, colour: int, v: int, k: int
 ) -> tuple[int, ...] | None:
@@ -38,36 +106,7 @@ def find_clique_containing(
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
-    if k < 1:
-        raise ValueError(f"clique size must be positive, got {k}")
-    if k == 1:
-        return (v,)
-    adj = g.adjacency(colour)
-    vbit = 1 << v
-    target = k
-
-    def extend(chosen: list[int], cand: int, have_v: bool) -> tuple[int, ...] | None:
-        if len(chosen) == target:
-            return tuple(chosen) if have_v else None
-        if not have_v and not cand & vbit:
-            return None
-        while cand:
-            if cand.bit_count() < target - len(chosen):
-                return None
-            low = cand & -cand
-            w = low.bit_length() - 1
-            chosen.append(w)
-            got = extend(chosen, cand & adj[w] & ~(low | (low - 1)), have_v or w == v)
-            if got is not None:
-                return got
-            chosen.pop()
-            cand ^= low
-            if not have_v and w == v:
-                return None
-        return None
-
-    universe = (adj[v] | vbit) & ((1 << g.n) - 1)
-    return extend([], universe, False)
+    return _lex_witnesses(g.adjacency(colour), g.n, k, 1 << v)[v]
 
 
 def enumerate_cliques(
@@ -79,23 +118,28 @@ def enumerate_cliques(
     adj = g.adjacency(colour)
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
-
-    def extend(cand: int, need: int) -> None:
-        if need == 0:
-            out.append(tuple(chosen))
-            return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            low = cand & -cand
-            w = low.bit_length() - 1
-            chosen.append(w)
-            extend(cand & adj[w] & ~(low | (low - 1)), need - 1)
-            chosen.pop()
-            cand ^= low
-
-    extend((1 << g.n) - 1, k)
-    return out
+    stack: list[int] = []  # the candidates left at each level above
+    cand, need = (1 << g.n) - 1, k
+    while True:
+        if cand.bit_count() >= need:
+            if need > 1:
+                low = cand & -cand
+                cand ^= low  # now only vertices after the one chosen
+                stack.append(cand)
+                w = low.bit_length() - 1
+                chosen.append(w)
+                cand &= adj[w]
+                need -= 1
+                continue
+            while cand:
+                low = cand & -cand
+                out.append((*chosen, low.bit_length() - 1))
+                cand ^= low
+        if not stack:
+            return out
+        cand = stack.pop()
+        chosen.pop()
+        need += 1
 
 
 @dataclass(frozen=True)
@@ -150,11 +194,10 @@ def verify_enabling(
     witnesses: dict[tuple[int, int], tuple[int, ...] | None] = {}
     first_failure = None
     for colour, k in targets:
-        for v in range(g.n):
-            w = find_clique_containing(g, colour, v, k)
-            witnesses[(v, colour)] = w
-            if w is None and first_failure is None:
-                first_failure = (v, colour)
+        found = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
+        witnesses.update(((v, colour), w) for v, w in enumerate(found))
+        if first_failure is None and None in found:
+            first_failure = (found.index(None), colour)
     return EnablingReport(
         targets=tuple((c, k) for c, k in targets),
         ok=first_failure is None,
@@ -208,15 +251,13 @@ def choose_family(
     the colour.
     """
     if policy == PER_VERTEX_LEX:
-        found: dict[int, tuple[int, ...]] = {}
-        for v in range(g.n):
-            w = find_clique_containing(g, colour, v, k)
-            if w is None:
-                raise ValueError(
-                    f"vertex {v} lies in no size-{k} clique of colour {colour}"
-                )
-            found[v] = w
-        return _lex_family(colour, k, found)
+        found = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
+        if None in found:
+            raise ValueError(
+                f"vertex {found.index(None)} lies in no size-{k} clique "
+                f"of colour {colour}"
+            )
+        return _lex_family(colour, k, dict(enumerate(found)))
     if policy == ALL_CLIQUES:
         cliques = tuple(enumerate_cliques(g, colour, k))
         covered = {}

@@ -24,9 +24,6 @@ __all__ = [
 ]
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def pair_count(n: int) -> int:
     """Number of unordered vertex pairs of a complete graph on n vertices."""
     return n * (n - 1) // 2
@@ -112,7 +109,11 @@ class EdgeColouredGraph:
             # n-1 down to 0, so int(row, 2) has bit v set for each neighbour v;
             # the pairs (u, u+1..n-1) fill part of row u and, by symmetry, of
             # column u, each by one slice assignment.
-            digits = bytes(c == colour for c in self.colours).translate(_DIGITS)
+            if self.r <= 256:  # bytes() holds only values below 256
+                flags, hit = bytes(self.colours), colour
+            else:
+                flags, hit = bytes(c == colour for c in self.colours), 1
+            digits = flags.translate(b"0" * hit + b"1" + b"0" * (255 - hit))
             rows = bytearray(b"0") * (n * n)
             start = 0
             for u in range(n):

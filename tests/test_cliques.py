@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from enabling.cliques import (
     verify_enabling,
 )
 from enabling.constructions import prime_slope, two_colour_extremal
-from enabling.graphs import build, monochromatic_complete, pair_count
+from enabling.graphs import build, monochromatic_complete, pair_count, pair_index, pairs
 
 
 def p4_graph():
@@ -183,3 +184,72 @@ def test_choose_family_fails_if_a_vertex_is_uncovered():
     g = p4_graph()
     with pytest.raises(ValueError):
         choose_family(g, 0, 3, PER_VERTEX_LEX)
+
+
+def lex_least_witnesses(g, colour, k):
+    """Each vertex's lexicographically smallest size-k clique, or None, by
+    brute force over all k-sets."""
+    all_k = brute_cliques(g, colour, k)
+    return [min((c for c in all_k if v in c), default=None) for v in range(g.n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graph_strategy(), st.data())
+def test_one_walk_per_colour_gives_each_vertex_its_lex_least_clique(drawn, data):
+    n, (r, colours) = drawn
+    g = build(n, r, colours)
+    targets = tuple(
+        (c, data.draw(st.integers(1, 4), label=f"k{c}"))
+        for c in data.draw(st.permutations(range(r)), label="order")
+    )
+    rep = verify_enabling(g, targets)
+    wits = {colour: lex_least_witnesses(g, colour, k) for colour, k in targets}
+    # same witnesses, inserted targets as given and vertices ascending
+    expected = [((v, c), w) for c, _ in targets for v, w in enumerate(wits[c])]
+    assert list(rep.witnesses.items()) == expected
+    missing = [pair for pair, w in expected if w is None]
+    assert rep.first_failure == (missing[0] if missing else None)
+    assert rep.ok == (not missing)
+    for colour, k in targets:
+        wit = wits[colour]
+        if None in wit:
+            text = f"^vertex {wit.index(None)} lies in no size-{k} clique of colour {colour}$"
+            with pytest.raises(ValueError, match=text):
+                choose_family(g, colour, k, PER_VERTEX_LEX)
+            continue
+        fam = choose_family(g, colour, k, PER_VERTEX_LEX)
+        assert fam.cliques == tuple(sorted(set(wit)))
+        assert [fam.cliques[fam.covered[v]] for v in range(n)] == wit
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    cols = [0] * pair_count(g.n)
+    for (u, v), c in zip(pairs(g.n), g.colours):
+        cols[pair_index(g.n, perm[u], perm[v])] = c
+    return build(g.n, g.r, cols)
+
+
+@pytest.mark.parametrize("k1,k2,seed", [(2, 10, 0), (5, 5, 1), (5, 17, 2)])
+def test_single_vertex_search_agrees_with_the_walk(k1, k2, seed):
+    g = relabelled(two_colour_extremal(k1, k2), seed)
+    rep = verify_enabling(g, ((0, k1), (1, k2)))
+    assert rep.ok
+    for colour, k in ((0, k1), (1, k2)):
+        for v in range(g.n):
+            assert find_clique_containing(g, colour, v, k) == rep.witnesses[v, colour]
+
+
+def test_clique_size_beyond_the_recursion_limit():
+    g = monochromatic_complete(1100)
+    everyone = tuple(range(1100))
+    assert find_clique_containing(g, 0, 5, 1050) == everyone[:1050]
+    assert find_clique_containing(g, 0, 1099, 1050) == everyone[:1049] + (1099,)
+    rep = verify_enabling(g, ((0, 1100),))
+    assert rep.ok and set(rep.witnesses.values()) == {everyone}
+    fam = choose_family(g, 0, 1100, PER_VERTEX_LEX)
+    assert fam.cliques == (everyone,)
+    assert len(choose_family(g, 0, 1050, PER_VERTEX_LEX).cliques) == 51
+    assert enumerate_cliques(g, 0, 1100) == [everyone]
+    assert enumerate_cliques(g, 0, 1099)[-1] == everyone[1:]

@@ -89,16 +89,23 @@ def test_adjacency_bitmasks_agree_with_colour_of():
 
 
 @given(
-    st.integers(1, 12).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.integers(0, 299), min_size=pair_count(n), max_size=pair_count(n)),
+    # Up to 256 colours the digit strings come from bytes(); beyond, from a
+    # generator.  Draw both sides of that limit.
+    st.tuples(st.integers(1, 12), st.sampled_from((2, 256, 300))).flatmap(
+        lambda nr: st.tuples(
+            st.just(nr[0]),
+            st.just(nr[1]),
+            st.lists(
+                st.integers(0, nr[1] - 1),
+                min_size=pair_count(nr[0]),
+                max_size=pair_count(nr[0]),
+            ),
         )
     )
 )
 def test_adjacency_matches_a_pair_by_pair_reference(case):
-    n, colours = case
-    g = build(n, 300, colours)
+    n, r, colours = case
+    g = build(n, r, colours)
     for c in set(colours) | {0}:
         masks = [0] * n
         for (u, v), colour in zip(pairs(n), colours):
