@@ -9,9 +9,7 @@ from enabling import multicolour_report, two_colour_report
 
 
 def show(report, label):
-    if report.upper is None:
-        head = f"{label}: {report.lower} <= n, no construction at that order"
-    elif report.exact:
+    if report.exact:
         head = f"{label}: exactly {report.lower}"
     else:
         head = f"{label}: {report.lower} <= n <= {report.upper}"
@@ -22,12 +20,11 @@ def show(report, label):
 
 print("== two colours ==")
 show(two_colour_report(3, 9), "n(3,9)")
-print("  (both targets one more than a square times a common factor,")
-print("   so the square-root bound is an integer and the extremal graph hits it)\n")
+print("  (the square-root bound is an integer and the extremal graph hits it)\n")
 
 show(two_colour_report(2, 3), "n(2,3)")
-print("  (the square-root value is irrational; the ceiling is still exact here,")
-print("   confirmed by exhaustive search in the tests)\n")
+print("  (the square-root value is irrational; the extremal graph still hits")
+print("   its ceiling, and exhaustive search in the tests rules out 5 vertices)\n")
 
 show(two_colour_report(1, 7), "n(1,7)")
 print("  (a target of 1 is satisfied by any vertex alone, so the other")

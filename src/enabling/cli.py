@@ -101,11 +101,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.family == "extremal":
         k1, k2 = _int_params(args.params, 2, "extremal")
         g = constructions.two_colour_extremal(k1, k2)
-        p = constructions.TwoColourExtremalParams.from_targets(k1, k2)
-        params = {"k1": k1, "k2": k2, "g": p.g, "a": p.a, "b": p.b}
+        a, b, x, y = constructions._extremal_parts(k1, k2)
+        red, blue = a + x, b + y
+        params = {"k1": k1, "k2": k2, "x": x, "y": y, "|R|": red, "|B|": blue}
         label_map = (
-            f"vertices 0..{p.red_size - 1} form the red clique R, "
-            f"{p.red_size}..{p.n - 1} form the blue clique B"
+            f"vertices 0..{red - 1} form the red clique R, "
+            f"{red}..{g.n - 1} form the blue clique B; "
+            f"B vertex {red}+j is red exactly to R vertices ({a}*j+s) mod {red}, "
+            f"s = 0..{a - 1}"
         )
     elif args.family == "blocks":
         r, k = _int_params(args.params, 2, "blocks")
@@ -180,7 +183,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             args.n_max,
             trusted_bounds=args.trusted_bounds,
             prune=not args.no_prune,
-            shards_log2=args.shards_log2,
             progress=progress,
         )
         doc = {
@@ -194,24 +196,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
             doc["reason"] = "exceeds n_max"
         _emit(_canonical(doc), args.output)
         if hit is not None and args.witness_out is not None:
-            report = exists_enabling(
-                hit,
-                args.k1,
-                args.k2,
-                prune=not args.no_prune,
-                shards_log2=args.shards_log2,
-            )
+            report = exists_enabling(hit, args.k1, args.k2, prune=not args.no_prune)
             _write_witness(report, args.witness_out)
         return 0 if hit is not None else 1
     if args.n is None:
         raise ValueError("existence mode needs --n (or use --min-n with --n-max)")
     report = exists_enabling(
-        args.n,
-        args.k1,
-        args.k2,
-        prune=not args.no_prune,
-        shards_log2=args.shards_log2,
-        progress=progress,
+        args.n, args.k1, args.k2, prune=not args.no_prune, progress=progress
     )
     _emit(_canonical(report.to_json_dict(include_timings=args.timings)), args.output)
     if report.found and args.witness_out is not None:
@@ -282,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="vertex count for existence mode")
     p.add_argument("--min-n", action="store_true", help="scan upward for the least n")
     p.add_argument("--n-max", type=int, help="scan limit for --min-n")
-    p.add_argument("--shards-log2", type=int, default=0)
     p.add_argument("--no-prune", action="store_true", help="disable degree pruning")
     p.add_argument("--trusted-bounds", action="store_true",
                    help="let --min-n start at the proven lower bound")

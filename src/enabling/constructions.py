@@ -4,8 +4,9 @@ Four families are provided:
 
 * ``p4_blowup``       - two colours, blow-up of a path on four vertices,
                         every vertex in cliques of size floor(n/4)+1 of both colours;
-* ``two_colour_extremal`` - two colours, vertex count (sqrt(k1-1)+sqrt(k2-1))^2
-                        whenever that quantity is an integer;
+* ``two_colour_extremal`` - two colours, every vertex in a colour-0 clique of
+                        size k1 and a colour-1 clique of size k2 on the
+                        least n >= (sqrt(k1-1)+sqrt(k2-1))^2, for all k1, k2 >= 2;
 * ``multicolour_blocks``  - r colours on 2r(k-1) vertices, every vertex in a
                         size-k clique of every colour;
 * ``prime_slope``     - p+1 colours on p^2 vertices classified by line slope
@@ -14,14 +15,11 @@ Four families are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 from .graphs import EdgeColouredGraph, pair_count, pair_index
 
 __all__ = [
-    "TwoColourExtremalParams",
-    "biregular_bipartite",
     "integer_extremal_pairs",
     "multicolour_blocks",
     "p4_blowup",
@@ -58,93 +56,52 @@ def p4_blowup(n: int) -> EdgeColouredGraph:
     return EdgeColouredGraph(n, 2, tuple(cols))
 
 
-def biregular_bipartite(
-    m1: int, m2: int, d1: int, d2: int
-) -> list[tuple[int, int]]:
-    """Edges of a bipartite graph, left degrees all d1 and right degrees all d2.
-
-    Left vertex i is joined to right vertices (i*d1 + s) mod m2 for
-    s = 0..d1-1.  Walking i upwards lays the intervals end to end, so they
-    wrap around the right side exactly d2 times and every right vertex is
-    covered equally.  Requires the handshake identity m1*d1 == m2*d2 and
-    d1 <= m2, d2 <= m1.
-    """
-    if m1 < 1 or m2 < 1:
-        raise ValueError("both sides must have at least one vertex")
-    if d1 < 0 or d2 < 0 or d1 > m2 or d2 > m1:
-        raise ValueError(f"degrees d1={d1}, d2={d2} out of range for ({m1}, {m2})")
-    if m1 * d1 != m2 * d2:
-        raise ValueError(f"handshake failure: {m1}*{d1} != {m2}*{d2}")
-    edges = []
-    for i in range(m1):
-        start = i * d1
-        for s in range(d1):
-            edges.append((i, (start + s) % m2))
-    return edges
-
-
-@dataclass(frozen=True)
-class TwoColourExtremalParams:
-    """Number-theoretic data behind the two-colour extremal construction."""
-
-    k1: int
-    k2: int
-    g: int
-    a: int
-    b: int
-
-    @classmethod
-    def from_targets(cls, k1: int, k2: int) -> "TwoColourExtremalParams":
-        if k1 < 2 or k2 < 2:
-            raise ValueError(f"need both clique targets >= 2, got ({k1}, {k2})")
-        g = gcd(k1 - 1, k2 - 1)
-        qa, qb = (k1 - 1) // g, (k2 - 1) // g
-        a, b = isqrt(qa), isqrt(qb)
-        if a * a != qa or b * b != qb:
-            raise ValueError(
-                f"no construction on an integer vertex count for ({k1}, {k2}): "
-                f"(sqrt({k1 - 1})+sqrt({k2 - 1}))^2 = "
-                f"{k1 - 1 + k2 - 1} + 2*sqrt({(k1 - 1) * (k2 - 1)}) is irrational"
-            )
-        return cls(k1, k2, g, a, b)
-
-    @property
-    def n(self) -> int:
-        return self.g * (self.a + self.b) ** 2
-
-    @property
-    def red_size(self) -> int:
-        return self.g * self.a * (self.a + self.b)
-
-    @property
-    def blue_size(self) -> int:
-        return self.g * self.b * (self.a + self.b)
+def _extremal_parts(k1: int, k2: int) -> tuple[int, int, int, int]:
+    """(a, b, x, y) of ``two_colour_extremal``: |R| = a+x and |B| = b+y."""
+    if k1 < 2 or k2 < 2:
+        raise ValueError(f"need both clique targets >= 2, got ({k1}, {k2})")
+    a, b = k1 - 1, k2 - 1
+    root = isqrt(4 * a * b)
+    t = root if root * root == 4 * a * b else root + 1
+    x = 1
+    while x * (t - x) < a * b:
+        x += 1
+    return a, b, x, t - x
 
 
 def two_colour_extremal(k1: int, k2: int) -> EdgeColouredGraph:
-    """Extremal two-colouring: every vertex in a colour-0 clique of size k1
-    and a colour-1 clique of size k2 on (sqrt(k1-1)+sqrt(k2-1))^2 vertices.
+    """Two-colouring on ``two_colour_lower(k1, k2)`` vertices in which every
+    vertex lies in a colour-0 clique of size k1 and a colour-1 clique of
+    size k2.
 
-    Writing k1 = 1 + g*a^2 and k2 = 1 + g*b^2 with g = gcd(k1-1, k2-1), the
-    vertices split into a colour-0 clique R of size g*a*(a+b) followed by a
-    colour-1 clique B of size g*b*(a+b).  Cross pairs carry colour 0 exactly
-    on a biregular graph with R-degree g*a*b and B-degree g*a^2, so each R
-    vertex has exactly k2-1 colour-1 partners in B and each B vertex exactly
-    k1-1 colour-0 partners in R.
+    Write a = k1-1, b = k2-1, t = ceil(2*sqrt(a*b)), let x be the least
+    integer with x*(t-x) >= a*b and y = t-x, so n = a+b+t.  Vertices
+    0..a+x-1 form a colour-0 clique R and the next b+y a colour-1 clique B.
+    B vertex j is joined in colour 0 to the R vertices j*a, ..., j*a+a-1
+    (mod |R|); every other cross pair has colour 1.
 
-    Raises ValueError when the target vertex count is irrational.
+    * A B vertex with its run of a vertices of R is a colour-0 clique of
+      size k1, and each R vertex lies in R itself, of size a+x >= k1.
+    * The runs lie end to end around R, so an R vertex is hit by at most
+      ceil(a*|B|/|R|) of them.  From x*y >= a*b follows y*(a+x) >= a*(b+y),
+      so that is at most y runs, and the vertex keeps at least b colour-1
+      partners in the colour-1 clique B: a clique of size k2.  B itself
+      has size b+y >= k2.
+
+    The construction is this package's own; that n = two_colour_lower(k1,
+    k2) is optimal for every pair is the source paper's claim.
     """
-    p = TwoColourExtremalParams.from_targets(k1, k2)
-    n, m1 = p.n, p.red_size
-    d1 = p.g * p.a * p.b
-    d2 = p.g * p.a * p.a
+    a, b, x, y = _extremal_parts(k1, k2)
+    red = a + x
+    n = red + b + y
     cols = [1] * pair_count(n)
-    for u in range(m1):
+    for u in range(red):
         base = u * (2 * n - u - 1) // 2 - u - 1
-        for v in range(u + 1, m1):
+        for v in range(u + 1, red):
             cols[base + v] = 0
-    for i, j in biregular_bipartite(m1, p.blue_size, d1, d2):
-        cols[pair_index(n, i, m1 + j)] = 0
+    for j in range(b + y):
+        for s in range(j * a, j * a + a):
+            cols[pair_index(n, s % red, red + j)] = 0
     return EdgeColouredGraph(n, 2, tuple(cols))
 
 

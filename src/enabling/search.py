@@ -12,7 +12,7 @@ vertices at once.  The mask is split into low, mid and top bit fields; when
 the fixed upper fields already violate the window for some vertex, the whole
 block of completions is skipped and counted as pruned.  Skipped blocks fail
 the window provably, so the pruned count equals the number of window
-failures regardless of the field split or shard count.
+failures, whatever the field widths.
 """
 
 from __future__ import annotations
@@ -139,25 +139,29 @@ def _make_cover_check(n: int, k: int) -> Callable[[int], bool]:
     def checkk(adj: int) -> bool:
         rows = [(adj >> (v * n)) & row_mask for v in range(n)]
 
-        def grow(cand: int, need: int) -> bool:
+        def grow(chosen: int, cand: int, need: int) -> int:
+            """Mask of a clique: chosen plus need pairwise adjacent
+            vertices of cand, or 0 when there is none."""
             if need == 0:
-                return True
+                return chosen
             while cand:
                 if cand.bit_count() < need:
-                    return False
+                    return 0
                 low = cand & -cand
                 cand ^= low
-                if grow(cand & rows[low.bit_length() - 1], need - 1):
-                    return True
-            return False
+                clique = grow(chosen | low, cand & rows[low.bit_length() - 1], need - 1)
+                if clique:
+                    return clique
+            return 0
 
         covered = 0
         for v in range(n):
             if covered >> v & 1:
                 continue
-            if rows[v].bit_count() < k - 1 or not grow(rows[v], k - 1):
+            clique = grow(1 << v, rows[v], k - 1)
+            if not clique:
                 return False
-            covered |= 1 << v
+            covered |= clique
         return True
 
     return checkk
@@ -199,16 +203,13 @@ def exists_enabling(
     k2: int,
     *,
     prune: bool = True,
-    shards_log2: int = 0,
     progress: Optional[Callable[[int], None]] = None,
 ) -> SearchReport:
     """Scan all edge bitmasks on n vertices for a (k1, k2)-enabling graph.
 
     Returns the first witness in ascending bitmask order, or found=False
-    after covering the whole space.  The work is partitioned into
-    2**shards_log2 shards by the top bits of the mask, searched in ascending
-    order so the merged answer is shard-count independent; ``progress``, when
-    given, is called with the running mask count about every 2**20 graphs.
+    after covering the whole space; ``progress``, when given, is called with
+    the running mask count about every 2**20 graphs.
     """
     if n < 1 or k1 < 1 or k2 < 1:
         raise ValueError(f"n and targets must be positive, got {(n, k1, k2)}")
@@ -218,8 +219,6 @@ def exists_enabling(
             f"n={n} needs {nbits} edge bits; exhaustive mode stops at "
             f"{MAX_EDGE_BITS}"
         )
-    if not 0 <= shards_log2 <= nbits:
-        raise ValueError(f"shards_log2 must lie in [0, {nbits}]")
 
     t0 = time.perf_counter()
     pairs = list(graph_pairs(n))
@@ -230,7 +229,7 @@ def exists_enabling(
     if prune and mind > maxd:
         return _report(n, k1, k2, None, pairs, total, total, t0)
 
-    top = min(nbits, max(shards_log2, nbits - _LOW_CAP - _MID_CAP))
+    top = max(0, nbits - _LOW_CAP - _MID_CAP)
     low = min(_LOW_CAP, nbits - top)
     mid = nbits - top - low
     ldeg, ladj = _span_tables(n, pairs, 0, low)
@@ -313,7 +312,6 @@ def min_n(
     *,
     trusted_bounds: bool = False,
     prune: bool = True,
-    shards_log2: int = 0,
     progress: Optional[Callable[[int], None]] = None,
 ) -> Optional[int]:
     """Least n <= n_max carrying a (k1, k2)-enabling graph, None if none.
@@ -328,8 +326,6 @@ def min_n(
     if trusted_bounds:
         start = max(start, two_colour_lower(k1, k2))
     for n in range(start, n_max + 1):
-        if exists_enabling(
-            n, k1, k2, prune=prune, shards_log2=shards_log2, progress=progress
-        ).found:
+        if exists_enabling(n, k1, k2, prune=prune, progress=progress).found:
             return n
     return None

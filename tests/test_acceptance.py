@@ -115,6 +115,16 @@ def test_criterion_4_certificates_for_every_construction():
             res = certify(g, ((0, k1), (1, k2)), policy=PER_VERTEX_LEX)
             assert res.bound <= g.n, (k1, k2)
             count += 1
+        swept = 0
+        for k1 in range(2, 31):
+            for k2 in range(k1, 31):
+                g = two_colour_extremal(k1, k2)
+                res = certify(g, ((0, k1), (1, k2)), policy=PER_VERTEX_LEX)
+                doc = json.loads(res.to_json())
+                assert check_certificate(g, doc) == [], (k1, k2)
+                assert doc["bound"]["ceiling"] == g.n, (k1, k2)
+                swept += 1
+        count += swept
         for r in range(2, 5):
             for k in range(2, 7):
                 g = multicolour_blocks(r, k)
@@ -130,7 +140,8 @@ def test_criterion_4_certificates_for_every_construction():
         assert dt < 600.0, f"sweep took {dt:.1f}s"
         info["note"] = (
             f"{count} graphs certified with exact measures and clean "
-            f"pairwise checks ({dt:.1f}s)"
+            f"pairwise checks, {swept} two-colour pairs up to (30, 30) re-checked "
+            f"with bound ceiling n ({dt:.1f}s)"
         )
 
 

@@ -157,12 +157,16 @@ def test_two_colour_report_contents():
     assert prov["extremal_construction"] == 8
 
     rep = two_colour_report(2, 3)
-    assert rep.lower == 6
-    assert rep.exact is None
-    assert rep.upper is None
+    assert rep.lower == rep.upper == rep.exact == 6
     prov = dict(rep.provenance)
     assert prov["sqrt_sum_squared"] == "3 + 2*sqrt(2)"
     assert prov["sqrt_sum_ceiling"] == 6
+    assert prov["extremal_construction"] == 6
+
+    for k1 in range(2, 30):
+        for k2 in range(2, 30):
+            rep = two_colour_report(k1, k2)
+            assert rep.exact == rep.upper == rep.lower == two_colour_lower(k1, k2)
 
 
 def test_two_colour_report_handles_unit_targets():

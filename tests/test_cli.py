@@ -34,6 +34,22 @@ def test_construct_then_verify_pipe(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_construct_extremal_metadata_for_a_non_square_pair(capsys):
+    # (2, 3): a, b = 1, 2, t = 3, x = 1, y = 2, so |R| = 2 and |B| = 4
+    code, out, _ = run(capsys, "construct", "--family", "extremal", "--params", "2,3")
+    assert code == 0
+    doc = json.loads(out)
+    meta = doc["meta"]
+    assert meta["params"] == {"k1": 2, "k2": 3, "x": 1, "y": 2, "|R|": 2, "|B|": 4}
+    assert meta["label_map"].startswith(
+        "vertices 0..1 form the red clique R, 2..5 form the blue clique B"
+    )
+    g = EdgeColouredGraph.from_json_dict(doc)
+    assert g.n == 6
+    assert g.is_monochromatic_clique(range(2), 0)
+    assert g.is_monochromatic_clique(range(2, 6), 1)
+
+
 def test_verify_failure_exits_one(tmp_path, capsys):
     g = EdgeColouredGraph(4, 2, (0,) * 6)
     path = tmp_path / "red.json"
@@ -217,19 +233,12 @@ def test_outputs_are_byte_deterministic(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
-    # shard count must not change the bytes either
-    code, sharded, _ = run(
-        capsys,
-        "search", "--k1", "2", "--k2", "3", "--n", "6", "--quiet",
-        "--shards-log2", "3",
-    )
-    assert sharded == runs[0]
 
 
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys, "construct", "--family", "p4", "--params", "x")[0] == 2
-    assert run(capsys, "construct", "--family", "extremal", "--params", "2,3")[0] == 2
+    assert run(capsys, "construct", "--family", "extremal", "--params", "1,3")[0] == 2
     assert run(capsys, "verify", "--graph", "/nonexistent", "--targets", "0:2")[0] == 2
     assert run(capsys, "search", "--k1", "2", "--k2", "2")[0] == 2
     assert run(capsys, "certify", "--graph", "x.json")[0] == 2

@@ -3,10 +3,10 @@ from math import isqrt
 
 import pytest
 
+from enabling.bounds import two_colour_lower
 from enabling.cliques import verify_enabling
 from enabling.constructions import (
-    TwoColourExtremalParams,
-    biregular_bipartite,
+    _extremal_parts,
     integer_extremal_pairs,
     multicolour_blocks,
     p4_blowup,
@@ -37,79 +37,63 @@ def test_p4_blowup_rejects_tiny_n():
         p4_blowup(3)
 
 
-# --- biregular bipartite circulant ------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "m1,m2,d1,d2",
-    [(4, 4, 2, 2), (6, 4, 2, 3), (12, 6, 1, 2), (6, 9, 3, 2), (5, 5, 0, 0)],
-)
-def test_biregular_bipartite_degrees(m1, m2, d1, d2):
-    edges = biregular_bipartite(m1, m2, d1, d2)
-    left = [0] * m1
-    right = [0] * m2
-    for i, j in edges:
-        left[i] += 1
-        right[j] += 1
-    assert left == [d1] * m1
-    assert right == [d2] * m2
-    assert len(set(edges)) == len(edges) == m1 * d1
-
-
-def test_biregular_bipartite_rejects_unbalanced_handshake():
-    with pytest.raises(ValueError):
-        biregular_bipartite(4, 4, 2, 3)
-    with pytest.raises(ValueError):
-        biregular_bipartite(2, 4, 5, 10)
-
-
 # --- two-colour extremal ----------------------------------------------------
 
 
 def test_params_for_perfect_square_products():
-    p = TwoColourExtremalParams.from_targets(3, 9)
-    assert (p.g, p.a, p.b) == (2, 1, 2)
-    assert p.n == 18
-    assert p.red_size == 6
-    assert p.blue_size == 12
+    # a, b = 2, 8, t = 2*sqrt(16) = 8, and x = y = 4 balance x*y = a*b
+    assert _extremal_parts(3, 9) == (2, 8, 4, 4)
 
 
-def test_params_reject_irrational_cases():
-    with pytest.raises(ValueError, match="irrational"):
-        TwoColourExtremalParams.from_targets(2, 3)
+def test_params_cover_non_square_pairs():
+    # a, b = 1, 2, t = ceil(2*sqrt(2)) = 3; x = 1 already gives x*(t-x) >= 2
+    assert _extremal_parts(2, 3) == (1, 2, 1, 2)
+    assert _extremal_parts(4, 7) == (3, 6, 3, 6)
+    with pytest.raises(ValueError):
+        _extremal_parts(1, 3)
+    with pytest.raises(ValueError):
+        two_colour_extremal(3, 1)
 
 
-@pytest.mark.parametrize("k1,k2", [(2, 2), (3, 3), (3, 9), (9, 3), (5, 5), (2, 10)])
+@pytest.mark.parametrize(
+    "k1,k2", [(k1, k2) for k1 in range(2, 41) for k2 in range(2, 41)]
+)
 def test_extremal_graph_verifies_at_its_targets(k1, k2):
     g = two_colour_extremal(k1, k2)
-    p = TwoColourExtremalParams.from_targets(k1, k2)
-    # (sqrt(k1-1) + sqrt(k2-1))^2 expanded, integral because the product is square
-    assert g.n == p.n == k1 + k2 - 2 + 2 * isqrt((k1 - 1) * (k2 - 1))
+    a, b = k1 - 1, k2 - 1
+    assert g.n == two_colour_lower(k1, k2)
+    t = g.n - a - b
+    x = min(x for x in range(1, t) if x * (t - x) >= a * b)
+    assert g.is_monochromatic_clique(range(a + x), 0)
+    assert g.is_monochromatic_clique(range(a + x, g.n), 1)
     assert verify_enabling(g, ((0, k1), (1, k2))).ok
 
 
 def test_extremal_red_side_is_a_red_clique_and_blue_side_blue():
-    g = two_colour_extremal(3, 9)
-    p = TwoColourExtremalParams.from_targets(3, 9)
-    r = p.red_size
-    for u, v in itertools.combinations(range(r), 2):
-        assert g.colour_of(u, v) == 0
-    for u, v in itertools.combinations(range(r, p.n), 2):
-        assert g.colour_of(u, v) == 1
+    # (2, 3): R = {0, 1}, B = {2, 3, 4, 5}; B vertex 2+j is red to R vertex
+    # j mod 2, so each R vertex keeps two blue partners in B: a blue triangle
+    g = two_colour_extremal(2, 3)
+    assert g.n == 6
+    red = [(u, v) for u, v in pairs(6) if g.colour_of(u, v) == 0]
+    assert red == [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5)]
 
 
 def test_extremal_cross_degrees_match_the_algebra():
-    # red cross degree must be g*a*b from R and g*a*a from B
-    k1, k2 = 5, 5
-    p = TwoColourExtremalParams.from_targets(k1, k2)
-    g = two_colour_extremal(k1, k2)
-    r = p.red_size
-    for u in range(r):
-        d = sum(1 for v in range(r, p.n) if g.colour_of(u, v) == 0)
-        assert d == p.g * p.a * p.b
-    for v in range(r, p.n):
-        d = sum(1 for u in range(r) if g.colour_of(u, v) == 0)
-        assert d == p.g * p.a * p.a
+    # each B vertex is red to a run of a = k1-1 vertices of R; the runs lie
+    # end to end, so an R vertex is hit floor or ceil(a*|B|/|R|) <= y times
+    for k1, k2 in [(5, 5), (2, 3), (4, 7), (7, 4), (3, 20)]:
+        a, b, x, y = _extremal_parts(k1, k2)
+        g = two_colour_extremal(k1, k2)
+        red = a + x
+        for v in range(red, g.n):
+            assert sum(1 for u in range(red) if g.colour_of(u, v) == 0) == a
+        hits = [
+            sum(1 for v in range(red, g.n) if g.colour_of(u, v) == 0)
+            for u in range(red)
+        ]
+        lo, rem = divmod(a * (b + y), red)
+        assert set(hits) <= {lo, lo + (rem > 0)}, (k1, k2)
+        assert sum(hits) == a * (b + y) and max(hits) <= y, (k1, k2)
 
 
 def test_integer_extremal_pairs_against_direct_scan():
@@ -124,7 +108,7 @@ def test_integer_extremal_pairs_against_direct_scan():
             if n <= 40:
                 expected.append((n, k1, k2))
     got = integer_extremal_pairs(40)
-    assert [(TwoColourExtremalParams.from_targets(a, b).n, a, b) for a, b in got] == [
+    assert [(two_colour_lower(a, b), a, b) for a, b in got] == [
         (n, a, b) for n, a, b in sorted(expected)
     ]
 

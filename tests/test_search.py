@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -7,9 +8,11 @@ import textwrap
 import pytest
 
 import enabling
+from enabling.bounds import two_colour_lower
 from enabling.cliques import verify_enabling
+from enabling.constructions import two_colour_extremal
 from enabling.graphs import from_simple_graph, pairs
-from enabling.search import SearchReport, exists_enabling, min_n
+from enabling.search import SearchReport, _make_cover_check, exists_enabling, min_n
 
 
 def oracle_first_witness(n, k1, k2):
@@ -69,18 +72,31 @@ def test_pruning_soundness_small_grid():
                 assert b.graphs_pruned == 0
 
 
-def test_shard_counts_do_not_change_results():
-    base = exists_enabling(6, 2, 3)
-    for b in (1, 3, 7):
-        rep = exists_enabling(6, 2, 3, shards_log2=b)
-        assert (rep.found, rep.witness) == (base.found, base.witness)
-        assert rep.graphs_enumerated == base.graphs_enumerated
-        assert rep.graphs_pruned == base.graphs_pruned
-    negative = exists_enabling(5, 3, 3)
-    for b in (2, 5):
-        rep = exists_enabling(5, 3, 3, shards_log2=b)
-        assert rep.graphs_enumerated == negative.graphs_enumerated == 1 << 10
-        assert rep.graphs_pruned == negative.graphs_pruned
+@pytest.mark.parametrize("k", [4, 5])
+def test_cover_check_matches_brute_force(k):
+    rng = random.Random(k)
+    for _ in range(300):
+        n = rng.randint(k, 7)
+        density = rng.choice([0.5, 0.7, 0.9])
+        edges = [e for e in pairs(n) if rng.random() < density]
+        adj = 0
+        for u, v in edges:
+            adj |= (1 << (u * n + v)) | (1 << (v * n + u))
+        edge_set = set(edges)
+        covered = set()
+        for c in itertools.combinations(range(n), k):
+            if all(e in edge_set for e in itertools.combinations(c, 2)):
+                covered.update(c)
+        assert _make_cover_check(n, k)(adj) == (len(covered) == n), (n, edges)
+
+
+@pytest.mark.parametrize("k1,k2", [(2, 3), (2, 4)])
+def test_construction_meets_the_exhaustive_minimum_on_non_square_pairs(k1, k2):
+    n = two_colour_lower(k1, k2)
+    assert not exists_enabling(n - 1, k1, k2).found
+    g = two_colour_extremal(k1, k2)
+    assert g.n == n
+    assert verify_enabling(g, ((0, k1), (1, k2))).ok
 
 
 def test_witnesses_verify_and_counts_are_complete():
@@ -114,10 +130,6 @@ def test_rejects_oversized_and_invalid_input():
         exists_enabling(12, 2, 2)  # 66 edge bits
     with pytest.raises(ValueError):
         exists_enabling(0, 2, 2)
-    with pytest.raises(ValueError):
-        exists_enabling(4, 2, 2, shards_log2=-1)
-    with pytest.raises(ValueError):
-        exists_enabling(4, 2, 2, shards_log2=7)
     with pytest.raises(ValueError):
         min_n(2, 2, 0)
 
