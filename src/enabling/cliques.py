@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import ge
 from typing import Mapping, Optional, Sequence
 
 from .graphs import EdgeColouredGraph
@@ -217,8 +218,8 @@ class CliqueFamily:
     covered: Optional[Mapping[int, int]] = None
 
     def __post_init__(self) -> None:
-        for i, c in enumerate(self.cliques):
-            if tuple(sorted(set(c))) != c:
+        for c in self.cliques:
+            if not isinstance(c, tuple) or any(map(ge, c, c[1:])):
                 raise ValueError(f"clique {c!r} is not a sorted duplicate-free tuple")
             if len(c) != self.k:
                 raise ValueError(f"clique {c!r} has size {len(c)}, expected {self.k}")

@@ -2,17 +2,18 @@
 
 Graphs on n labelled vertices are enumerated as edge bitmasks in ascending
 order: bit e set means pair e (in canonical order) gets colour 0, clear means
-colour 1.  A graph survives only when every vertex sits in a colour-0 clique
-of size k1 and a colour-1 clique of size k2, so ``exists_enabling`` decides
-whether such a graph exists at a given n and ``min_n`` locates the least n.
+colour 1.  ``exists_enabling`` decides whether one is enabling (every vertex
+in a colour-0 k1-clique and a colour-1 k2-clique) at a given n, and ``min_n``
+locates the least n.
 
-Vertex degrees are packed eight bits per vertex into one integer, letting a
-single add-and-mask test check the degree window [k1-1, n-k2] for all
-vertices at once.  The mask is split into low, mid and top bit fields; when
-the fixed upper fields already violate the window for some vertex, the whole
-block of completions is skipped and counted as pruned.  Skipped blocks fail
-the window provably, so the pruned count equals the number of window
-failures, whatever the field widths.
+Masks split into top, mid and low bit fields, and degrees are packed eight
+bits per vertex: one add-and-mask skips a top or mid block whose fixed fields
+already put some vertex outside the degree window [k1-1, n-k2].  In a
+surviving block, the leaves inside the window form one bitset, the AND over
+vertices v of a table entry picked by v's degree from the upper fields, and
+only its leaves reach the clique checks.  A mask counts as pruned exactly
+when it fails the window; on a witness, only masks up to it count, so the
+counters do not depend on the field widths.
 """
 
 from __future__ import annotations
@@ -89,6 +90,23 @@ def _span_tables(
     return degs, adjs
 
 
+def _leaf_windows(
+    n: int, ldeg: list[int], mind: int, maxd: int
+) -> list[tuple[int, list[int]]]:
+    """(8v, win) per vertex v: bit leaf of win[hv] is set when hv, v's degree
+    from the upper fields, plus v's degree in leaf lies in [mind, maxd]."""
+    windows = []
+    for shift in range(0, 8 * n, 8):
+        by_degree = [0] * n
+        for leaf, d in enumerate(ldeg):
+            by_degree[d >> shift & 255] |= 1 << leaf
+        windows.append((shift, [
+            sum(by_degree[max(0, mind - hv):max(0, maxd - hv + 1)])
+            for hv in range(n)
+        ]))
+    return windows
+
+
 def _value_contrib(
     n: int, pairs: list[tuple[int, int]], lo: int, value: int
 ) -> tuple[int, int]:
@@ -110,25 +128,29 @@ def _make_cover_check(n: int, k: int) -> Callable[[int], bool]:
         return lambda adj: True
 
     if k == 2:
-
-        def check2(adj: int) -> bool:
-            for v in range(n):
-                if not (adj >> (v * n)) & row_mask:
-                    return False
-            return True
-
-        return check2
+        # Row v is nonzero exactly when its top bit is set or adding all ones
+        # to its other n-1 bits carries into it; no carry leaves the row.
+        rest = (row_mask >> 1) * sum(1 << (v * n) for v in range(n))
+        tops = sum(1 << (v * n + n - 1) for v in range(n))
+        return lambda adj: ((adj & rest) + rest | adj) & tops == tops
 
     if k == 3:
 
         def check3(adj: int) -> bool:
-            for v in range(n):
+            covered = 0
+            # Ascending masks give the pairs among high labels colour 0 last,
+            # so on colour 0 those vertices fail most often: try them first.
+            for v in reversed(range(n)):
+                if covered >> v & 1:
+                    continue
                 av = (adj >> (v * n)) & row_mask
                 t = av
                 while t:
                     low = t & -t
                     t ^= low
-                    if (adj >> ((low.bit_length() - 1) * n)) & av:
+                    common = (adj >> ((low.bit_length() - 1) * n)) & av
+                    if common:
+                        covered |= (1 << v) | low | common
                         break
                 else:
                     return False
@@ -234,12 +256,11 @@ def exists_enabling(
     mid = nbits - top - low
     ldeg, ladj = _span_tables(n, pairs, 0, low)
     mdeg, madj = _span_tables(n, pairs, low, mid)
+    windows = _leaf_windows(n, ldeg, mind, maxd) if prune else []
 
     check1 = _make_cover_check(n, k1)
     check2 = _make_cover_check(n, k2)
-    full_adj = 0
-    for u, v in pairs:
-        full_adj |= (1 << (u * n + v)) | (1 << (v * n + u))
+    full_adj = _value_contrib(n, pairs, 0, total - 1)[1]
 
     lanes = sum(1 << (8 * v) for v in range(n))
     high = lanes << 7
@@ -250,6 +271,7 @@ def exists_enabling(
 
     nlow = 1 << low
     nmid = 1 << mid
+    every = (1 << nlow) - 1
     enumerated = 0
     pruned = 0
     next_tick = PROGRESS_STEP
@@ -275,26 +297,23 @@ def exists_enabling(
                 pruned += nlow
             else:
                 hadj = tadj | madj[h]
-                hover = hdeg + over
-                hunder = hdeg + under
-                passed = 0
-                for leaf in range(nlow):
-                    d = ldeg[leaf]
-                    if prune and (
-                        ((hover + d) & high) or ((hunder + d) & high) != high
-                    ):
-                        continue
-                    passed += 1
+                ok = every
+                for shift, win in windows:
+                    ok &= win[hdeg >> shift & 255]
+                bits = f"{ok:b}"[::-1]
+                leaf = bits.find("1")
+                while leaf >= 0:
                     adj = hadj | ladj[leaf]
                     if check1(adj) and check2(full_adj ^ adj):
                         enumerated += leaf + 1
-                        pruned += leaf + 1 - passed
+                        pruned += leaf + 1 - bits.count("1", 0, leaf + 1)
                         mask = (t << (mid + low)) | (h << low) | leaf
                         return _report(
                             n, k1, k2, mask, pairs, enumerated, pruned, t0
                         )
+                    leaf = bits.find("1", leaf + 1)
                 enumerated += nlow
-                pruned += nlow - passed
+                pruned += nlow - ok.bit_count()
             if progress is not None and enumerated >= next_tick:
                 while next_tick <= enumerated:
                     progress(next_tick)

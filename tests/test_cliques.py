@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from enabling.cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
+    CliqueFamily,
     choose_family,
     enumerate_cliques,
     find_clique_containing,
@@ -178,6 +179,29 @@ def test_choose_family_unique_clique_either_policy():
     for policy in (PER_VERTEX_LEX, ALL_CLIQUES):
         fam = choose_family(g, 0, 4, policy)
         assert fam.cliques == ((0, 1, 2, 3),)
+
+
+@pytest.mark.parametrize(
+    "cliques,covered,message",
+    [
+        pytest.param(([0, 1],), None,
+                     "clique [0, 1] is not a sorted duplicate-free tuple", id="list"),
+        pytest.param(((1, 0),), None,
+                     "clique (1, 0) is not a sorted duplicate-free tuple", id="unsorted"),
+        pytest.param(((1, 1),), None,
+                     "clique (1, 1) is not a sorted duplicate-free tuple", id="duplicate"),
+        pytest.param(((0, 1, 2),), None,
+                     "clique (0, 1, 2) has size 3, expected 2", id="size"),
+        pytest.param(((0, 1),), {0: 1},
+                     "designated clique index 1 out of range", id="index"),
+        pytest.param(((0, 1),), {2: 0},
+                     "vertex 2 not in its designated clique", id="vertex"),
+    ],
+)
+def test_clique_family_rejects_malformed_cliques(cliques, covered, message):
+    with pytest.raises(ValueError) as err:
+        CliqueFamily(0, 2, cliques, covered)
+    assert str(err.value) == message
 
 
 def test_choose_family_fails_if_a_vertex_is_uncovered():

@@ -72,7 +72,7 @@ def test_pruning_soundness_small_grid():
                 assert b.graphs_pruned == 0
 
 
-@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_cover_check_matches_brute_force(k):
     rng = random.Random(k)
     for _ in range(300):
@@ -88,6 +88,45 @@ def test_cover_check_matches_brute_force(k):
             if all(e in edge_set for e in itertools.combinations(c, 2)):
                 covered.update(c)
         assert _make_cover_check(n, k)(adj) == (len(covered) == n), (n, edges)
+
+
+def test_pruned_count_matches_degree_window_oracle():
+    """graphs_pruned counts the masks, up to the witness when one is found,
+    with some red degree outside [k1-1, n-k2]."""
+    for n in range(1, 7):
+        plist = list(pairs(n))
+        spans = []
+        for mask in range(1 << len(plist)):
+            deg = [0] * n
+            for e, (u, v) in enumerate(plist):
+                if mask >> e & 1:
+                    deg[u] += 1
+                    deg[v] += 1
+            spans.append((min(deg), max(deg)))
+        for k1 in range(1, 5):
+            for k2 in range(1, 5):
+                rep = exists_enabling(n, k1, k2)
+                last = len(spans) - 1
+                if rep.found:
+                    last = sum(1 << plist.index(e) for e in rep.witness)
+                assert rep.graphs_enumerated == last + 1
+                outside = sum(
+                    lo < k1 - 1 or hi > n - k2 for lo, hi in spans[: last + 1]
+                )
+                assert rep.graphs_pruned == outside, (n, k1, k2)
+
+
+@pytest.mark.parametrize(
+    "n,k1,k2,counts",
+    [
+        (8, 3, 3, (True, 850018, 819748)),
+        (9, 2, 5, (True, 104641, 102329)),
+        (7, 3, 3, (False, 2097152, 1740412)),
+    ],
+)
+def test_search_counters_are_pinned(n, k1, k2, counts):
+    rep = exists_enabling(n, k1, k2)
+    assert (rep.found, rep.graphs_enumerated, rep.graphs_pruned) == counts
 
 
 @pytest.mark.parametrize("k1,k2", [(2, 3), (2, 4)])
