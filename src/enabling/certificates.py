@@ -18,10 +18,12 @@ vertex-clique incidence, and the lifted solution is audited at full size
 with integer arithmetic, so soundness never rests on the reduction.
 
 ``certify`` runs the full pipeline for every target colour of a graph,
-asserts the cross-colour laws (delta_i + delta_j <= 1, sum_v mu_i mu_j <= 1,
-cliques of distinct colours share at most one vertex), and evaluates the
-derived lower bound on the vertex count.  A violated law raises
-LemmaViolation, which the command line maps to a distinct exit status.
+asserts the cross-colour laws (delta_i + delta_j <= 1, sum_v mu_i mu_j <= 1),
+and evaluates the derived lower bound on the vertex count.  A violated law
+raises LemmaViolation, which the command line maps to a distinct exit status.
+The third law, that cliques of distinct colours share at most one vertex, is
+derived rather than searched: a shared pair u, v would give the edge uv two
+colours.  Every family covers the vertices, so the stored maximum is 1.
 """
 
 from __future__ import annotations
@@ -236,19 +238,14 @@ def check_pairwise_intersections(fam1: CliqueFamily, fam2: CliqueFamily) -> bool
     if fam1.colour == fam2.colour:
         raise ValueError("pairwise intersection check needs distinct colours")
     masks1 = [_mask(c) for c in fam1.cliques]
-    return _max_intersection(masks1, [_mask(c) for c in fam2.cliques]) <= 1
+    masks2 = [_mask(c) for c in fam2.cliques]
+    return all((m1 & m2).bit_count() <= 1 for m1 in masks1 for m2 in masks2)
 
 
 def _product_sum(a: tuple[list[int], int], b: tuple[list[int], int]) -> Fraction:
     """sum_v a(v) b(v) for two vectors given over their common denominators."""
     (an, ad), (bn, bd) = a, b
     return Fraction(sum(x * y for x, y in zip(an, bn)), ad * bd)
-
-
-def _max_intersection(masks1: Sequence[int], masks2: Sequence[int]) -> int:
-    """Most vertices a clique of masks1 shares with one of masks2, both given
-    as vertex bitmasks."""
-    return max(((m1 & m2).bit_count() for m1 in masks1 for m2 in masks2), default=0)
 
 
 def support_clique_check(
@@ -448,7 +445,6 @@ def certify(
             colour, k, fam, delta, 1 / delta, lam, mu, mu_vertex_masses(g.n, fam, mu)))
 
     masses = [_common_denominator(c.mu_vertex_mass) for c in certs]
-    masks = [[_mask(q) for q in c.family.cliques] for c in certs]
     pairwise: list[PairwiseCheck] = []
     for i in range(len(certs)):
         for j in range(i + 1, len(certs)):
@@ -464,13 +460,9 @@ def certify(
                     f"mu-mass product sum for colours "
                     f"({ci.colour}, {cj.colour}) is {psum} > 1"
                 )
-            inter = _max_intersection(masks[i], masks[j])
-            if inter > 1:
-                raise LemmaViolation(
-                    f"cliques of colours {ci.colour} and {cj.colour} "
-                    f"share two or more vertices"
-                )
-            pairwise.append(PairwiseCheck((ci.colour, cj.colour), dsum, psum, inter))
+            # The cliques are of this graph's own colours, so two of different
+            # colours share at most one vertex; both cover V, so some share one.
+            pairwise.append(PairwiseCheck((ci.colour, cj.colour), dsum, psum, 1))
 
     universal_lower = universal_form = None
     if len(certs) == 2:
@@ -561,11 +553,13 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
     of the bound is re-derived: each target colour is certified exactly once
     with its k; its cliques are size-k cliques of that colour covering every
     vertex; lambda achieves delta and the mu vertex masses cap it, so delta
-    is exact from both sides; every colour pair has a row whose sums and
-    intersection hold; the bound and its ceiling follow from the deltas; for
-    two colours, and only then, the stored closed-form bound matches the
-    targets; and the policy is a known one.  Measures are compared as
-    integers over one common denominator per vector, cliques as bitmasks.
+    is exact from both sides; every colour pair has a row whose sums hold
+    and whose maximum clique intersection is 1; the bound and its ceiling
+    follow from the deltas; for two colours, and only then, the stored
+    closed-form bound matches the targets; and the policy is a known one.
+    Measures are compared as integers over one common denominator per vector,
+    cliques as bitmasks.  The intersection is not searched: the per-colour
+    checks make every clique monochromatic, which implies it.
     """
     try:
         cert = certificate_from_json_dict(doc)
@@ -592,9 +586,8 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
             issues.append(f"colour {colour} outside range 0..{g.r - 1}")
             continue
         masses = _common_denominator(c["mu_vertex_mass"])
-        masks = _check_colour(g, c, masses, issues)
-        if masks is not None:
-            checked[colour] = (c, masks, masses)
+        if _check_colour(g, c, masses, issues):
+            checked[colour] = (c, masses)
     rows = set()
     for p in cert["pairwise"]:
         i, j = p["colours"]
@@ -602,17 +595,21 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
         if i == j or i not in seen or j not in seen:
             issues.append(f"pairwise row names unknown or equal colours {(i, j)}")
             continue
+        # Each colour is certified once, by size-k cliques of its own colour:
+        # two cliques of colours i != j share at most one vertex, since a
+        # shared pair u, v would give the edge uv both colours.  Both
+        # families cover every vertex, so some pair of them shares one.
+        if p["max_intersection"] != 1:
+            issues.append(f"pairwise ({i}, {j}): max intersection "
+                          f"{p['max_intersection']} is not 1")
         if i not in checked or j not in checked:
             continue  # the colour's own problems are listed already
-        (ci, masks_i, masses_i), (cj, masks_j, masses_j) = checked[i], checked[j]
+        (ci, masses_i), (cj, masses_j) = checked[i], checked[j]
         if ci["delta"] + cj["delta"] != p["delta_sum"] or p["delta_sum"] > 1:
             issues.append(f"pairwise ({i}, {j}): delta sum wrong or above 1")
         psum = _product_sum(masses_i, masses_j)
         if psum != p["mu_product_sum"] or psum > 1:
             issues.append(f"pairwise ({i}, {j}): mu product sum wrong or above 1")
-        inter = _max_intersection(masks_i, masks_j)
-        if inter != p["max_intersection"] or inter > 1:
-            issues.append(f"pairwise ({i}, {j}): intersection bound violated")
     for pair in combinations(sorted(seen), 2):
         if pair not in rows:
             issues.append(f"no pairwise row for colours {pair}")
@@ -654,15 +651,14 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
 
 def _check_colour(
     g: EdgeColouredGraph, c: dict, masses: tuple[list[int], int], issues: list[str]
-) -> list[int] | None:
-    """Append the problems of one colour's certificate to issues and return
-    its clique masks; masses is its stored mu vertex masses over their
-    common denominator.  A malformed clique, or an empty family, returns None
-    before any mass is summed."""
+) -> bool:
+    """Append the problems of one colour's certificate to issues, and say
+    whether its masses could be summed; masses is its stored mu vertex masses
+    over their common denominator.  A malformed clique, or an empty family,
+    returns False before any mass is summed."""
     n, colour, k, delta = g.n, c["colour"], c["k"], c["delta"]
     cliques = c["cliques"]
     adj = g.adjacency(colour)
-    masks = []
     covered = 0
     for q in cliques:
         mask = _mask(q) if all(0 <= v < n for v in q) else 0
@@ -670,19 +666,18 @@ def _check_colour(
             issues.append(
                 f"colour {colour}: clique {q} repeats a vertex or leaves 0..{n - 1}"
             )
-            return None
+            return False
         if len(q) != k:
             issues.append(f"colour {colour}: clique {q} has size {len(q)} != {k}")
         elif any((adj[v] | 1 << v) & mask != mask for v in q):
             issues.append(f"colour {colour}: {q} is not a colour-{colour} clique")
-        masks.append(mask)
         covered |= mask
     uncovered = ((1 << n) - 1) & ~covered
     if uncovered:
         v = (uncovered & -uncovered).bit_length() - 1
         issues.append(f"colour {colour}: vertex {v} lies in none of the cliques")
     if not cliques:
-        return None
+        return False
     lam, mu = c["lambda"], c["mu"]
     w, den = _common_denominator(lam)
     if len(lam) != n or any(a < 0 for a in w) or sum(w) != den:
@@ -708,4 +703,4 @@ def _check_colour(
             )
     if c["alpha"] * delta != 1:
         issues.append(f"colour {colour}: alpha is not 1/delta")
-    return masks
+    return True

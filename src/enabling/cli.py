@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import bounds, certificates, constructions, lp
 from .cliques import ALL_CLIQUES, PER_VERTEX_LEX, verify_enabling
 from .graphs import EdgeColouredGraph, from_simple_graph
-from .search import exists_enabling, min_n
+from .search import _least_witness, exists_enabling
 
 __all__ = ["main"]
 
@@ -177,14 +177,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.min_n:
         if args.n_max is None:
             raise ValueError("--min-n needs --n-max")
-        hit = min_n(
-            args.k1,
-            args.k2,
-            args.n_max,
-            trusted_bounds=args.trusted_bounds,
-            prune=not args.no_prune,
-            progress=progress,
+        report = _least_witness(
+            args.k1, args.k2, args.n_max, args.trusted_bounds, progress
         )
+        hit = None if report is None else report.n
         doc = {
             "k1": args.k1,
             "k2": args.k2,
@@ -196,14 +192,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             doc["reason"] = "exceeds n_max"
         _emit(_canonical(doc), args.output)
         if hit is not None and args.witness_out is not None:
-            report = exists_enabling(hit, args.k1, args.k2, prune=not args.no_prune)
             _write_witness(report, args.witness_out)
         return 0 if hit is not None else 1
     if args.n is None:
         raise ValueError("existence mode needs --n (or use --min-n with --n-max)")
-    report = exists_enabling(
-        args.n, args.k1, args.k2, prune=not args.no_prune, progress=progress
-    )
+    report = exists_enabling(args.n, args.k1, args.k2, progress=progress)
     _emit(_canonical(report.to_json_dict(include_timings=args.timings)), args.output)
     if report.found and args.witness_out is not None:
         _write_witness(report, args.witness_out)
@@ -273,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="vertex count for existence mode")
     p.add_argument("--min-n", action="store_true", help="scan upward for the least n")
     p.add_argument("--n-max", type=int, help="scan limit for --min-n")
-    p.add_argument("--no-prune", action="store_true", help="disable degree pruning")
     p.add_argument("--trusted-bounds", action="store_true",
                    help="let --min-n start at the proven lower bound")
     p.add_argument("--timings", action="store_true",

@@ -224,7 +224,6 @@ def exists_enabling(
     k1: int,
     k2: int,
     *,
-    prune: bool = True,
     progress: Optional[Callable[[int], None]] = None,
 ) -> SearchReport:
     """Scan all edge bitmasks on n vertices for a (k1, k2)-enabling graph.
@@ -248,7 +247,7 @@ def exists_enabling(
     mind = max(0, k1 - 1)
     maxd = min(n - 1, n - k2)
 
-    if prune and mind > maxd:
+    if mind > maxd:
         return _report(n, k1, k2, None, pairs, total, total, t0)
 
     top = max(0, nbits - _LOW_CAP - _MID_CAP)
@@ -256,7 +255,7 @@ def exists_enabling(
     mid = nbits - top - low
     ldeg, ladj = _span_tables(n, pairs, 0, low)
     mdeg, madj = _span_tables(n, pairs, low, mid)
-    windows = _leaf_windows(n, ldeg, mind, maxd) if prune else []
+    windows = _leaf_windows(n, ldeg, mind, maxd)
 
     check1 = _make_cover_check(n, k1)
     check2 = _make_cover_check(n, k2)
@@ -278,9 +277,7 @@ def exists_enabling(
 
     for t in range(1 << top):
         tdeg, tadj = _value_contrib(n, pairs, low + mid, t)
-        if prune and (
-            ((tdeg + over) & high) or ((tdeg + lmmax + under) & high) != high
-        ):
+        if ((tdeg + over) & high) or ((tdeg + lmmax + under) & high) != high:
             enumerated += nmid * nlow
             pruned += nmid * nlow
             if progress is not None and enumerated >= next_tick:
@@ -290,9 +287,7 @@ def exists_enabling(
             continue
         for h in range(nmid):
             hdeg = tdeg + mdeg[h]
-            if prune and (
-                ((hdeg + over) & high) or ((hdeg + lmax + under) & high) != high
-            ):
+            if ((hdeg + over) & high) or ((hdeg + lmax + under) & high) != high:
                 enumerated += nlow
                 pruned += nlow
             else:
@@ -330,7 +325,6 @@ def min_n(
     n_max: int,
     *,
     trusted_bounds: bool = False,
-    prune: bool = True,
     progress: Optional[Callable[[int], None]] = None,
 ) -> Optional[int]:
     """Least n <= n_max carrying a (k1, k2)-enabling graph, None if none.
@@ -339,12 +333,25 @@ def min_n(
     the proven lower bound instead of re-deriving it, which changes nothing
     but the work done.
     """
+    report = _least_witness(k1, k2, n_max, trusted_bounds, progress)
+    return None if report is None else report.n
+
+
+def _least_witness(
+    k1: int,
+    k2: int,
+    n_max: int,
+    trusted_bounds: bool,
+    progress: Optional[Callable[[int], None]],
+) -> Optional[SearchReport]:
+    """The report of ``min_n``'s scan at its least n, None if none."""
     if k1 < 1 or k2 < 1 or n_max < 1:
         raise ValueError(f"targets and n_max must be positive, got {(k1, k2, n_max)}")
     start = max(k1, k2)
     if trusted_bounds:
         start = max(start, two_colour_lower(k1, k2))
     for n in range(start, n_max + 1):
-        if exists_enabling(n, k1, k2, prune=prune, progress=progress).found:
-            return n
+        report = exists_enabling(n, k1, k2, progress=progress)
+        if report.found:
+            return report
     return None

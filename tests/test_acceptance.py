@@ -200,7 +200,7 @@ def test_criterion_8_certificate_at_eight_hundred_vertices():
     # Before criterion 7, so that its ledger counts these solves too.
     with criterion(8) as info:
         notes = []
-        for k, n in ((201, 800), (251, 1000)):
+        for k, n in ((201, 800), (251, 1000), (501, 2000)):
             g = two_colour_extremal(k, k)
             assert g.n == n
             t0 = time.perf_counter()

@@ -318,6 +318,23 @@ PROBES = {
         4, lambda d: d.update(pairwise=[]), "no pairwise row for colours (0, 1)"
     ),
     "uncovered vertex": (5, _uncover, "vertex 1 lies in none of the cliques"),
+    "clique shares an edge with the other colour": (
+        4,
+        lambda d: d["certificates"][0]["cliques"].__setitem__(
+            0, d["certificates"][1]["cliques"][0]
+        ),
+        "is not a colour-0 clique",
+    ),
+    "intersection stored as 0": (
+        4,
+        lambda d: d["pairwise"][0].update(max_intersection=0),
+        "max intersection 0 is not 1",
+    ),
+    "intersection stored as 2": (
+        4,
+        lambda d: d["pairwise"][0].update(max_intersection=2),
+        "max intersection 2 is not 1",
+    ),
     "empty clique family": (
         4,
         lambda d: d["certificates"][0].update(cliques=[], mu=[]),
@@ -372,6 +389,9 @@ PROBES = {
     "universal not an object": (4, lambda d: d.update(universal=[4]), "malformed"),
     "universal lower a string": (
         4, lambda d: d["universal"].update(lower="4"), "malformed"
+    ),
+    "intersection a string": (
+        4, lambda d: d["pairwise"][0].update(max_intersection="1"), "malformed"
     ),
 }
 

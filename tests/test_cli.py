@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from enabling import lp
+from enabling import cli, lp, search
 from enabling.cli import main
 from enabling.graphs import EdgeColouredGraph
 
@@ -207,6 +207,36 @@ def test_search_witness_out(tmp_path, capsys):
     assert g.n == 5
 
 
+def test_search_min_n_witness_scans_each_order_once(tmp_path, capsys, monkeypatch):
+    real = search.exists_enabling
+    scanned = []
+
+    def spy(n, *args, **kwargs):
+        scanned.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(search, "exists_enabling", spy)
+    monkeypatch.setattr(cli, "exists_enabling", spy)
+    wpath = tmp_path / "w.json"
+    code, out, _ = run(
+        capsys,
+        "search", "--k1", "3", "--k2", "3", "--min-n", "--n-max", "9",
+        "--quiet", "--witness-out", str(wpath),
+    )
+    assert code == 0 and json.loads(out)["min_n"] == 8
+    assert scanned == [3, 4, 5, 6, 7, 8]
+    # The same first witness on 8 vertices as existence mode writes.
+    monkeypatch.undo()
+    epath = tmp_path / "e.json"
+    code, _, _ = run(
+        capsys,
+        "search", "--k1", "3", "--k2", "3", "--n", "8",
+        "--quiet", "--witness-out", str(epath),
+    )
+    assert code == 0
+    assert wpath.read_text() == epath.read_text()
+
+
 def test_search_timings_flag(capsys):
     code, out, _ = run(
         capsys, "search", "--k1", "2", "--k2", "2", "--n", "4", "--quiet", "--timings"
@@ -243,6 +273,7 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "search", "--k1", "2", "--k2", "2")[0] == 2
     assert run(capsys, "certify", "--graph", "x.json")[0] == 2
     assert run(capsys, "search", "--k1", "2", "--k2", "2", "--min-n")[0] == 2
+    assert run(capsys, "search", "--k1", "2", "--k2", "2", "--n", "4", "--no-prune")[0] == 2
 
 
 def test_help_exits_zero(capsys):

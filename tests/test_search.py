@@ -60,16 +60,22 @@ def test_trivial_one_vertex_case():
     assert rep.found and rep.witness == ()
 
 
-def test_pruning_soundness_small_grid():
-    for n in range(2, 6):
-        for k1 in range(1, 4):
-            for k2 in range(1, 4):
-                a = exists_enabling(n, k1, k2, prune=True)
-                b = exists_enabling(n, k1, k2, prune=False)
-                assert a.found == b.found
-                assert a.witness == b.witness
-                assert a.graphs_enumerated == b.graphs_enumerated
-                assert b.graphs_pruned == 0
+def test_search_matches_brute_force_reference_small_grid():
+    for n in range(1, 6):
+        plist = list(pairs(n))
+        for k1 in range(1, 5):
+            for k2 in range(1, 5):
+                expected = oracle_first_witness(n, k1, k2)
+                rep = exists_enabling(n, k1, k2)
+                assert rep.found == (expected is not None), (n, k1, k2)
+                if expected is None:
+                    assert rep.witness is None
+                    assert rep.graphs_enumerated == 1 << len(plist)
+                else:
+                    assert rep.witness == tuple(
+                        e for i, e in enumerate(plist) if expected >> i & 1
+                    )
+                    assert rep.graphs_enumerated == expected + 1
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -182,12 +188,10 @@ def test_report_json_shape():
 
 
 def test_impossible_targets_short_circuit():
-    # k1 + k2 > n + 1 leaves no feasible degree, with or without pruning
-    fast = exists_enabling(4, 4, 4)
-    slow = exists_enabling(4, 4, 4, prune=False)
-    assert not fast.found and not slow.found
-    assert fast.graphs_enumerated == slow.graphs_enumerated == 64
-    assert fast.graphs_pruned == 64
+    # k1 + k2 > n + 1 leaves no feasible degree, so every mask is pruned
+    rep = exists_enabling(4, 4, 4)
+    assert not rep.found and rep.witness is None
+    assert rep.graphs_enumerated == rep.graphs_pruned == 64
 
 
 
@@ -212,7 +216,7 @@ def test_search_guards_survive_optimisation_flag():
         # Shadow the module's range so the scan skips its one top-level block.
         search.range = lambda *a: range(0) if a == (1,) else builtins.range(*a)
         try:
-            search.exists_enabling(3, 2, 2, prune=False)
+            search.exists_enabling(3, 2, 2)
         except LemmaViolation as exc:
             print("rejected:", exc)
         """
