@@ -127,7 +127,8 @@ def _vertex_masses(
 
 
 def _mask(vertices: Iterable[int]) -> int:
-    return sum(1 << v for v in set(vertices))
+    """Bitmask of non-negative vertices; a repeat carries and loses a bit."""
+    return sum(map((1).__lshift__, vertices))
 
 
 def _refine(n: int, cliques: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -380,6 +381,12 @@ def _int(x) -> int:
     return x
 
 
+def _ints(xs) -> tuple[int, ...]:
+    """A tuple of JSON integers; a bad entry raises as ``_int`` does."""
+    out = tuple(xs)
+    return out if set(map(type, out)) <= {int} else tuple(map(_int, out))
+
+
 def _pair(x) -> tuple[int, int]:
     a, b = x
     return _int(a), _int(b)
@@ -525,7 +532,7 @@ def certificate_from_json_dict(doc: dict) -> dict:
             {
                 "colour": _int(c["colour"]),
                 "k": _int(c["k"]),
-                "cliques": [tuple(_int(v) for v in q) for q in c["cliques"]],
+                "cliques": [_ints(q) for q in c["cliques"]],
                 "delta": _unrat(c["delta"]),
                 "alpha": _unrat(c["alpha"]),
                 "lambda": [_unrat(w) for w in c["lambda"]],
@@ -661,7 +668,7 @@ def _check_colour(
     adj = g.adjacency(colour)
     covered = 0
     for q in cliques:
-        mask = _mask(q) if all(0 <= v < n for v in q) else 0
+        mask = _mask(q) if not q or min(q) >= 0 and max(q) < n else 0
         if mask.bit_count() != len(q):
             issues.append(
                 f"colour {colour}: clique {q} repeats a vertex or leaves 0..{n - 1}"

@@ -9,11 +9,15 @@ locates the least n.
 Masks split into top, mid and low bit fields, and degrees are packed eight
 bits per vertex: one add-and-mask skips a top or mid block whose fixed fields
 already put some vertex outside the degree window [k1-1, n-k2].  In a
-surviving block, the leaves inside the window form one bitset, the AND over
-vertices v of a table entry picked by v's degree from the upper fields, and
-only its leaves reach the clique checks.  A mask counts as pruned exactly
-when it fails the window; on a witness, only masks up to it count, so the
-counters do not depend on the field widths.
+surviving block, the 2**low leaves inside the window form one bitset, the
+AND over vertices v of a table entry picked by v's degree from the upper
+fields.  The clique cover is bitsets too: each k-subset of the vertices
+holds at the leaves where its low-field edges have the colour, once its
+upper-field edges do, so a vertex's covered leaves are one OR over its live
+subsets, ANDed into the block's bitset.  A target k <= 2 needs no subsets:
+for k = 2 the window gives each vertex an edge of that colour.  A mask
+counts as pruned exactly when it fails the window; on a witness, only masks
+up to it count, so the counters do not depend on the field widths.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional
 
 from .bounds import LemmaViolation, two_colour_lower
@@ -71,23 +76,25 @@ class SearchReport:
         )
 
 
-def _span_tables(
-    n: int, pairs: list[tuple[int, int]], lo: int, width: int
-) -> tuple[list[int], list[int]]:
-    """Per-value packed degrees and packed adjacency for bits [lo, lo+width).
-
-    Degrees use eight-bit lanes (lane v = vertex v); adjacency uses n-bit
-    rows at stride n.  Entry x extends entry x without its lowest bit.
-    """
+def _span_degrees(pairs: list[tuple[int, int]], lo: int, width: int) -> list[int]:
+    """Packed degrees (eight-bit lane v = vertex v) for each value of bits
+    [lo, lo+width); entry x extends entry x without its lowest bit."""
     degs = [0] * (1 << width)
-    adjs = [0] * (1 << width)
     for x in range(1, 1 << width):
         low = x & -x
         u, v = pairs[lo + low.bit_length() - 1]
-        rest = x ^ low
-        degs[x] = degs[rest] + (1 << (8 * u)) + (1 << (8 * v))
-        adjs[x] = adjs[rest] | (1 << (u * n + v)) | (1 << (v * n + u))
-    return degs, adjs
+        degs[x] = degs[x ^ low] + (1 << (8 * u)) + (1 << (8 * v))
+    return degs
+
+
+def _value_degrees(pairs: list[tuple[int, int]], lo: int, value: int) -> int:
+    deg = 0
+    while value:
+        low = value & -value
+        u, v = pairs[lo + low.bit_length() - 1]
+        deg += (1 << (8 * u)) + (1 << (8 * v))
+        value ^= low
+    return deg
 
 
 def _leaf_windows(
@@ -107,86 +114,69 @@ def _leaf_windows(
     return windows
 
 
-def _value_contrib(
-    n: int, pairs: list[tuple[int, int]], lo: int, value: int
-) -> tuple[int, int]:
-    deg = 0
-    adj = 0
-    while value:
-        low = value & -value
-        u, v = pairs[lo + low.bit_length() - 1]
-        deg += (1 << (8 * u)) + (1 << (8 * v))
-        adj |= (1 << (u * n + v)) | (1 << (v * n + u))
-        value ^= low
-    return deg, adj
+def _cover_table(
+    n: int, pairs: list[tuple[int, int]], low: int, k: int, colour: int
+) -> list[list[tuple[int, int]]]:
+    """Per vertex v, highest label first, a pair (fixed, leaves) for each
+    k-subset C holding v: fixed masks C's edges in the upper fields, and
+    leaves the leaves in which all of C's low-field edges have ``colour``."""
+    # k = 1 asks nothing and k = 2 an edge of the colour at each vertex, which
+    # the window [k1-1, n-k2] gives: d0 >= 1 if k1 = 2, n-1-d0 >= 1 if k2 = 2.
+    if k <= 2:
+        return []
+    nlow = 1 << low
+    every = (1 << nlow) - 1
+    has_colour = []
+    for e in range(low):
+        # High bit first, each run of 2**(e+1) leaves opens with bit e set.
+        half = 1 << e
+        ones = int(("1" * half + "0" * half) * (nlow >> (e + 1)), 2)
+        has_colour.append(every ^ ones if colour else ones)
+    index = {p: e for e, p in enumerate(pairs)}
+    subsets = []
+    for clique in combinations(range(n), k):
+        fixed = 0
+        leaves = every
+        for p in combinations(clique, 2):
+            e = index[p]
+            if e < low:
+                leaves &= has_colour[e]
+            else:
+                fixed |= 1 << (e - low)
+        subsets.append((clique, fixed, leaves))
+    return [
+        [(fixed, leaves) for clique, fixed, leaves in subsets if v in clique]
+        for v in reversed(range(n))
+    ]
 
 
-def _make_cover_check(n: int, k: int) -> Callable[[int], bool]:
-    """Checker for "every vertex lies in a k-clique" on packed adjacency."""
-    row_mask = (1 << n) - 1
-    if k <= 1:
-        return lambda adj: True
+def _restrict(
+    table: list[list[tuple[int, int]]], absent: int, keep: int
+) -> list[list[tuple[int, int]]]:
+    """The table for one top-field value: pairs with no fixed edge in absent,
+    their fixed masks cut to keep, and pairs of equal masks merged."""
+    out = []
+    for subsets in table:
+        merged: dict[int, int] = {}
+        for fixed, leaves in subsets:
+            if not fixed & absent:
+                merged[fixed & keep] = merged.get(fixed & keep, 0) | leaves
+        out.append(list(merged.items()))
+    return out
 
-    if k == 2:
-        # Row v is nonzero exactly when its top bit is set or adding all ones
-        # to its other n-1 bits carries into it; no carry leaves the row.
-        rest = (row_mask >> 1) * sum(1 << (v * n) for v in range(n))
-        tops = sum(1 << (v * n + n - 1) for v in range(n))
-        return lambda adj: ((adj & rest) + rest | adj) & tops == tops
 
-    if k == 3:
-
-        def check3(adj: int) -> bool:
-            covered = 0
-            # Ascending masks give the pairs among high labels colour 0 last,
-            # so on colour 0 those vertices fail most often: try them first.
-            for v in reversed(range(n)):
-                if covered >> v & 1:
-                    continue
-                av = (adj >> (v * n)) & row_mask
-                t = av
-                while t:
-                    low = t & -t
-                    t ^= low
-                    common = (adj >> ((low.bit_length() - 1) * n)) & av
-                    if common:
-                        covered |= (1 << v) | low | common
-                        break
-                else:
-                    return False
-            return True
-
-        return check3
-
-    def checkk(adj: int) -> bool:
-        rows = [(adj >> (v * n)) & row_mask for v in range(n)]
-
-        def grow(chosen: int, cand: int, need: int) -> int:
-            """Mask of a clique: chosen plus need pairwise adjacent
-            vertices of cand, or 0 when there is none."""
-            if need == 0:
-                return chosen
-            while cand:
-                if cand.bit_count() < need:
-                    return 0
-                low = cand & -cand
-                cand ^= low
-                clique = grow(chosen | low, cand & rows[low.bit_length() - 1], need - 1)
-                if clique:
-                    return clique
-            return 0
-
-        covered = 0
-        for v in range(n):
-            if covered >> v & 1:
-                continue
-            clique = grow(1 << v, rows[v], k - 1)
-            if not clique:
-                return False
-            covered |= clique
-        return True
-
-    return checkk
+def _covered(table: list[list[tuple[int, int]]], absent: int, good: int) -> int:
+    """The leaves of good in which every vertex lies in a clique of the
+    table's colour, when absent masks the fixed edges lacking that colour."""
+    for subsets in table:
+        if not good:
+            break
+        cover = 0
+        for fixed, leaves in subsets:
+            if not fixed & absent:
+                cover |= leaves
+        good &= cover
+    return good
 
 
 def _report(
@@ -253,13 +243,11 @@ def exists_enabling(
     top = max(0, nbits - _LOW_CAP - _MID_CAP)
     low = min(_LOW_CAP, nbits - top)
     mid = nbits - top - low
-    ldeg, ladj = _span_tables(n, pairs, 0, low)
-    mdeg, madj = _span_tables(n, pairs, low, mid)
+    ldeg = _span_degrees(pairs, 0, low)
+    mdeg = _span_degrees(pairs, low, mid)
     windows = _leaf_windows(n, ldeg, mind, maxd)
-
-    check1 = _make_cover_check(n, k1)
-    check2 = _make_cover_check(n, k2)
-    full_adj = _value_contrib(n, pairs, 0, total - 1)[1]
+    cover0 = _cover_table(n, pairs, low, k1, 0)
+    cover1 = _cover_table(n, pairs, low, k2, 1)
 
     lanes = sum(1 << (8 * v) for v in range(n))
     high = lanes << 7
@@ -276,7 +264,7 @@ def exists_enabling(
     next_tick = PROGRESS_STEP
 
     for t in range(1 << top):
-        tdeg, tadj = _value_contrib(n, pairs, low + mid, t)
+        tdeg = _value_degrees(pairs, low + mid, t)
         if ((tdeg + over) & high) or ((tdeg + lmmax + under) & high) != high:
             enumerated += nmid * nlow
             pruned += nmid * nlow
@@ -285,28 +273,31 @@ def exists_enabling(
                     progress(next_tick)
                     next_tick += PROGRESS_STEP
             continue
+        live0 = live1 = None
         for h in range(nmid):
             hdeg = tdeg + mdeg[h]
             if ((hdeg + over) & high) or ((hdeg + lmax + under) & high) != high:
                 enumerated += nlow
                 pruned += nlow
             else:
-                hadj = tadj | madj[h]
                 ok = every
                 for shift, win in windows:
                     ok &= win[hdeg >> shift & 255]
-                bits = f"{ok:b}"[::-1]
-                leaf = bits.find("1")
-                while leaf >= 0:
-                    adj = hadj | ladj[leaf]
-                    if check1(adj) and check2(full_adj ^ adj):
-                        enumerated += leaf + 1
-                        pruned += leaf + 1 - bits.count("1", 0, leaf + 1)
-                        mask = (t << (mid + low)) | (h << low) | leaf
-                        return _report(
-                            n, k1, k2, mask, pairs, enumerated, pruned, t0
-                        )
-                    leaf = bits.find("1", leaf + 1)
+                if live0 is None:
+                    # Cut once per top value, only if a block passes the
+                    # window; ~t and ~h mark the edges lacking colour 0.
+                    live0 = _restrict(cover0, ~t << mid, nmid - 1)
+                    live1 = _restrict(cover1, t << mid, nmid - 1)
+                good = _covered(live1, h, _covered(live0, ~h, ok))
+                if good:
+                    # The lowest leaf of good is the first enabling mask.
+                    leaf = (good & -good).bit_length() - 1
+                    enumerated += leaf + 1
+                    pruned += leaf + 1 - (ok & ((2 << leaf) - 1)).bit_count()
+                    mask = (t << (mid + low)) | (h << low) | leaf
+                    return _report(
+                        n, k1, k2, mask, pairs, enumerated, pruned, t0
+                    )
                 enumerated += nlow
                 pruned += nlow - ok.bit_count()
             if progress is not None and enumerated >= next_tick:

@@ -12,7 +12,17 @@ from enabling.bounds import two_colour_lower
 from enabling.cliques import verify_enabling
 from enabling.constructions import two_colour_extremal
 from enabling.graphs import from_simple_graph, pairs
-from enabling.search import SearchReport, _make_cover_check, exists_enabling, min_n
+from enabling.search import (
+    SearchReport,
+    _cover_table,
+    _covered,
+    _leaf_windows,
+    _restrict,
+    _span_degrees,
+    _value_degrees,
+    exists_enabling,
+    min_n,
+)
 
 
 def oracle_first_witness(n, k1, k2):
@@ -78,22 +88,51 @@ def test_search_matches_brute_force_reference_small_grid():
                     assert rep.graphs_enumerated == expected + 1
 
 
+def brute_force_cover(n, plist, mask, k, colour):
+    """Whether every vertex lies in a k-clique of colour on the full mask."""
+    edges = {e for i, e in enumerate(plist) if (mask >> i & 1) != colour}
+    covered = set()
+    for c in itertools.combinations(range(n), k):
+        if all(e in edges for e in itertools.combinations(c, 2)):
+            covered.update(c)
+    return len(covered) == n
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_cover_check_matches_brute_force(k):
+def test_block_cover_matches_brute_force(k):
+    """A block's covered-leaf bitset equals the cover test run leaf by leaf,
+    for random field splits, upper-field values and both colours; for k = 2,
+    the leaves the degree window keeps are exactly the covered ones."""
     rng = random.Random(k)
-    for _ in range(300):
-        n = rng.randint(k, 7)
-        density = rng.choice([0.5, 0.7, 0.9])
-        edges = [e for e in pairs(n) if rng.random() < density]
-        adj = 0
-        for u, v in edges:
-            adj |= (1 << (u * n + v)) | (1 << (v * n + u))
-        edge_set = set(edges)
-        covered = set()
-        for c in itertools.combinations(range(n), k):
-            if all(e in edge_set for e in itertools.combinations(c, 2)):
-                covered.update(c)
-        assert _make_cover_check(n, k)(adj) == (len(covered) == n), (n, edges)
+    for _ in range(40):
+        n = rng.randint(max(4, k), 8)
+        plist = list(pairs(n))
+        low = rng.randint(1, min(7, len(plist)))
+        mid = rng.randint(0, len(plist) - low)
+        top = len(plist) - low - mid
+        density = rng.choice([0.5, 0.8, 0.95])
+        for colour in (0, 1):
+            upper = sum(
+                1 << i for i in range(mid + top) if (rng.random() < density) != colour
+            )
+            good = (1 << (1 << low)) - 1
+            if k == 2:
+                ldeg = _span_degrees(plist, 0, low)
+                hdeg = _value_degrees(plist, low, upper)
+                mind, maxd = (1, n - 1) if colour == 0 else (0, n - 2)
+                for shift, win in _leaf_windows(n, ldeg, mind, maxd):
+                    good &= win[hdeg >> shift & 255]
+            table = _cover_table(n, plist, low, k, colour)
+            # The upper-field edges lacking the colour, top then mid field.
+            absent = upper ^ ((1 << (mid + top)) - 1) if colour == 0 else upper
+            live = _restrict(table, absent >> mid << mid, (1 << mid) - 1)
+            got = _covered(live, absent & ((1 << mid) - 1), good)
+            expected = sum(
+                1 << leaf
+                for leaf in range(1 << low)
+                if brute_force_cover(n, plist, upper << low | leaf, k, colour)
+            )
+            assert got == expected, (n, k, colour, low, mid, upper)
 
 
 def test_pruned_count_matches_degree_window_oracle():
@@ -128,11 +167,19 @@ def test_pruned_count_matches_degree_window_oracle():
         (8, 3, 3, (True, 850018, 819748)),
         (9, 2, 5, (True, 104641, 102329)),
         (7, 3, 3, (False, 2097152, 1740412)),
+        (7, 2, 4, (False, 2097152, 1930570)),
+        (8, 2, 6, (False, 268435456, 268369278)),
+        (10, 3, 4, (True, 119521730, 118273143)),
     ],
 )
 def test_search_counters_are_pinned(n, k1, k2, counts):
     rep = exists_enabling(n, k1, k2)
     assert (rep.found, rep.graphs_enumerated, rep.graphs_pruned) == counts
+    if (n, k1, k2) == (10, 3, 4):
+        assert rep.witness == (
+            (0, 1), (0, 7), (0, 8), (0, 9), (1, 7), (1, 8), (1, 9),
+            (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6),
+        )
 
 
 @pytest.mark.parametrize("k1,k2", [(2, 3), (2, 4)])
