@@ -33,8 +33,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, count
 from math import isqrt, lcm
+from operator import and_
 from typing import Iterable, Sequence
 
 from .bounds import LemmaViolation, f_max, two_colour_lower
@@ -665,7 +667,7 @@ def _check_colour(
     returns False before any mass is summed."""
     n, colour, k, delta = g.n, c["colour"], c["k"], c["delta"]
     cliques = c["cliques"]
-    adj = g.adjacency(colour)
+    closed = [a | 1 << v for v, a in enumerate(g.adjacency(colour))]
     covered = 0
     for q in cliques:
         mask = _mask(q) if not q or min(q) >= 0 and max(q) < n else 0
@@ -676,7 +678,7 @@ def _check_colour(
             return False
         if len(q) != k:
             issues.append(f"colour {colour}: clique {q} has size {len(q)} != {k}")
-        elif any((adj[v] | 1 << v) & mask != mask for v in q):
+        elif reduce(and_, map(closed.__getitem__, q), mask) != mask:
             issues.append(f"colour {colour}: {q} is not a colour-{colour} clique")
         covered |= mask
     uncovered = ((1 << n) - 1) & ~covered
@@ -689,7 +691,7 @@ def _check_colour(
     w, den = _common_denominator(lam)
     if len(lam) != n or any(a < 0 for a in w) or sum(w) != den:
         issues.append(f"colour {colour}: lambda is not a probability measure")
-    elif min(sum(w[v] for v in q) for q in cliques) * delta.denominator != (
+    elif min(sum(map(w.__getitem__, q)) for q in cliques) * delta.denominator != (
         delta.numerator * den
     ):
         issues.append(f"colour {colour}: lambda does not achieve the stated delta")

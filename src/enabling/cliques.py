@@ -11,8 +11,10 @@ recursion limit.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import ge
+from functools import reduce
+from operator import and_, ge
 from typing import Mapping, Optional, Sequence
 
 from .graphs import EdgeColouredGraph
@@ -58,6 +60,7 @@ def _lex_witnesses(
     if k < 1:
         raise ValueError(f"clique size must be positive, got {k}")
     out: list[tuple[int, ...] | None] = [None] * n
+    closed = [a | 1 << v for v, a in enumerate(adj)]
     cand, left, mask, need = wanted, wanted, 0, k  # mask: the vertices of chosen
     for v in _members(wanted):
         cand |= adj[v]
@@ -79,9 +82,9 @@ def _lex_witnesses(
                 need -= 1
                 continue
             # The only clique below takes every candidate, if they are
-            # pairwise adjacent.
+            # pairwise adjacent: each closed neighbourhood holds them all.
             rest = _members(cand)
-            if all(cand & ~adj[w] == 1 << w for w in rest):
+            if reduce(and_, map(closed.__getitem__, rest), cand) == cand:
                 clique = (*chosen, *rest)
                 hits = (mask | cand) & left
                 left ^= hits
@@ -226,7 +229,8 @@ class CliqueFamily:
         for v, i in (self.covered or {}).items():
             if not 0 <= i < len(self.cliques):
                 raise ValueError(f"designated clique index {i} out of range")
-            if v not in self.cliques[i]:
+            c = self.cliques[i]  # sorted, so one bisection finds v if present
+            if not c or c[bisect_right(c, v) - 1] != v:
                 raise ValueError(f"vertex {v} not in its designated clique")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .graphs import EdgeColouredGraph, pair_count, pair_index
+from .graphs import EdgeColouredGraph, pair_count, pairs
 
 __all__ = [
     "integer_extremal_pairs",
@@ -40,19 +40,9 @@ def p4_blowup(n: int) -> EdgeColouredGraph:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     q, rem = divmod(n, 4)
-    sizes = [q + (1 if i < rem else 0) for i in range(4)]
-    part = []
-    for i, s in enumerate(sizes):
-        part.extend([i] * s)
-    red_part_pairs = {(0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
-    cols = [1] * pair_count(n)
-    idx = 0
-    for u in range(n):
-        pu = part[u]
-        for v in range(u + 1, n):
-            if (pu, part[v]) in red_part_pairs:
-                cols[idx] = 0
-            idx += 1
+    part = [i for i in range(4) for _ in range(q + (i < rem))]
+    red = {(0, 1), (1, 1), (1, 2), (2, 2), (2, 3)}
+    cols = [0 if (part[u], part[v]) in red else 1 for u, v in pairs(n)]
     return EdgeColouredGraph(n, 2, tuple(cols))
 
 
@@ -92,17 +82,18 @@ def two_colour_extremal(k1: int, k2: int) -> EdgeColouredGraph:
     k2) is optimal for every pair is the source paper's claim.
     """
     a, b, x, y = _extremal_parts(k1, k2)
-    red = a + x
-    n = red + b + y
-    cols = [1] * pair_count(n)
-    for u in range(red):
-        base = u * (2 * n - u - 1) // 2 - u - 1
-        for v in range(u + 1, red):
-            cols[base + v] = 0
-    for j in range(b + y):
-        for s in range(j * a, j * a + a):
-            cols[pair_index(n, s % red, red + j)] = 0
-    return EdgeColouredGraph(n, 2, tuple(cols))
+    red, blue = a + x, b + y
+    # The R-by-B cross colours, row u of R holding u's pairs to B.  Run j
+    # starts at R vertex j*a mod |R| and, as a < |R|, wraps at most once.
+    cross = bytearray(b"\x01") * (red * blue)
+    for j in range(blue):
+        start = j * a % red
+        wrap = max(0, start + a - red)
+        cross[start * blue + j : (start + a - wrap) * blue : blue] = bytes(a - wrap)
+        cross[j : wrap * blue : blue] = bytes(wrap)
+    rows = [bytes(red - 1 - u) + cross[u * blue : u * blue + blue] for u in range(red)]
+    rows.append(b"\x01" * pair_count(blue))
+    return EdgeColouredGraph(red + blue, 2, tuple(b"".join(rows)))
 
 
 def integer_extremal_pairs(n_max: int) -> list[tuple[int, int]]:

@@ -3,7 +3,8 @@
 The colour of every unordered pair {u, v} is stored in a fixed
 upper-triangular order: (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1).
 All lookups are exact integer operations; the JSON form round-trips
-byte-for-byte.
+byte-for-byte.  Neighbour bitmasks of every colour come from one byte matrix
+of pair colours per graph, one ``translate`` and n ``int(row, 2)`` a colour.
 """
 
 from __future__ import annotations
@@ -59,6 +60,19 @@ def vertex_set(members: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _pair_matrix(n: int, codes: bytes) -> bytearray:
+    """The n-by-n byte matrix with codes[pair_index(n, u, v)] at (u, v) and
+    (v, u), 255 on the diagonal, and row u listing vertices n-1 down to 0."""
+    matrix = bytearray(b"\xff") * (n * n)
+    start = 0
+    for u in range(n):  # pairs (u, u+1..n-1): part of row u and of column u
+        seg = codes[start : start + n - 1 - u]
+        matrix[u * n : u * n + n - 1 - u] = seg[::-1]
+        matrix[(u + 1) * n + n - 1 - u :: n] = seg
+        start += n - 1 - u
+    return matrix
+
+
 @dataclass(frozen=True)
 class EdgeColouredGraph:
     """A complete graph on vertices 0..n-1 whose edges carry colours 0..r-1."""
@@ -98,32 +112,26 @@ class EdgeColouredGraph:
         return self.colours[pair_index(self.n, u, v)]
 
     def adjacency(self, colour: int) -> tuple[int, ...]:
-        """Per-vertex neighbour bitmasks of one colour class, cached."""
+        """Per-vertex neighbour bitmasks of one colour class, cached.
+
+        Below 256 colours the first call reads every colour from one
+        ``_pair_matrix``; from 256 on, its diagonal byte 255 could be a
+        colour, so each colour gets a matrix of its own 0/1 flags."""
         if not 0 <= colour < self.r:
             raise ValueError(f"colour {colour} outside range 0..{self.r - 1}")
-        cached = self._adjacency.get(colour)
-        if cached is None:
+        cache = self._adjacency
+        if colour not in cache:
             n = self.n
-            # One ASCII digit per pair, in canonical order: 1 where the pair
-            # has this colour.  Row u of the n-by-n digit matrix lists vertices
-            # n-1 down to 0, so int(row, 2) has bit v set for each neighbour v;
-            # the pairs (u, u+1..n-1) fill part of row u and, by symmetry, of
-            # column u, each by one slice assignment.
-            if self.r <= 256:  # bytes() holds only values below 256
-                flags, hit = bytes(self.colours), colour
+            if self.r < 256:
+                codes, wanted = bytes(self.colours), {c: c for c in range(self.r)}
             else:
-                flags, hit = bytes(c == colour for c in self.colours), 1
-            digits = flags.translate(b"0" * hit + b"1" + b"0" * (255 - hit))
-            rows = bytearray(b"0") * (n * n)
-            start = 0
-            for u in range(n):
-                seg = digits[start : start + n - 1 - u]
-                rows[u * n : u * n + n - 1 - u] = seg[::-1]
-                rows[(u + 1) * n + n - 1 - u :: n] = seg
-                start += n - 1 - u
-            cached = tuple(int(rows[u * n : u * n + n], 2) for u in range(n))
-            self._adjacency[colour] = cached
-        return cached
+                codes, wanted = bytes(c == colour for c in self.colours), {colour: 1}
+            matrix = _pair_matrix(n, codes)
+            for c, code in wanted.items():
+                # As ASCII digits, int(row, 2) has bit v set where (u, v) has c.
+                digits = matrix.translate(b"0" * code + b"1" + b"0" * (255 - code))
+                cache[c] = tuple(int(digits[i : i + n], 2) for i in range(0, n * n, n))
+        return cache[colour]
 
     def is_monochromatic_clique(self, members: Iterable[int], colour: int) -> bool:
         """Whether every pair inside ``members`` has the given colour.

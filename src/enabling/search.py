@@ -11,13 +11,14 @@ bits per vertex: one add-and-mask skips a top or mid block whose fixed fields
 already put some vertex outside the degree window [k1-1, n-k2].  In a
 surviving block, the 2**low leaves inside the window form one bitset, the
 AND over vertices v of a table entry picked by v's degree from the upper
-fields.  The clique cover is bitsets too: each k-subset of the vertices
-holds at the leaves where its low-field edges have the colour, once its
-upper-field edges do, so a vertex's covered leaves are one OR over its live
-subsets, ANDed into the block's bitset.  A target k <= 2 needs no subsets:
-for k = 2 the window gives each vertex an edge of that colour.  A mask
-counts as pruned exactly when it fails the window; on a witness, only masks
-up to it count, so the counters do not depend on the field widths.
+fields; the tables grow one low-field edge of v at a time.  The clique cover
+is bitsets too: each k-subset of the vertices holds at the leaves where its
+low-field edges have the colour, once its upper-field edges do, so a
+vertex's covered leaves are one OR over its live subsets, ANDed into the
+block's bitset.  A target k <= 2 needs no subsets: for k = 2 the window
+gives each vertex an edge of that colour.  A mask counts as pruned exactly
+when it fails the window; on a witness, only masks up to it count, so the
+counters do not depend on the field widths.
 """
 
 from __future__ import annotations
@@ -78,12 +79,11 @@ class SearchReport:
 
 def _span_degrees(pairs: list[tuple[int, int]], lo: int, width: int) -> list[int]:
     """Packed degrees (eight-bit lane v = vertex v) for each value of bits
-    [lo, lo+width); entry x extends entry x without its lowest bit."""
-    degs = [0] * (1 << width)
-    for x in range(1, 1 << width):
-        low = x & -x
-        u, v = pairs[lo + low.bit_length() - 1]
-        degs[x] = degs[x ^ low] + (1 << (8 * u)) + (1 << (8 * v))
+    [lo, lo+width); the values with bit e set extend those below 2**e."""
+    degs = [0]
+    for u, v in pairs[lo : lo + width]:
+        step = (1 << (8 * u)) + (1 << (8 * v))
+        degs += [d + step for d in degs]
     return degs
 
 
@@ -97,17 +97,29 @@ def _value_degrees(pairs: list[tuple[int, int]], lo: int, value: int) -> int:
     return deg
 
 
+def _edge_leaves(low: int) -> list[int]:
+    """Per low-field edge e, the 2**low-bit set of the leaves holding e: high
+    bit first, each run of 2**(e+1) leaves opens with bit e set."""
+    return [
+        int(("1" * (1 << e) + "0" * (1 << e)) * (1 << (low - e - 1)), 2)
+        for e in range(low)
+    ]
+
+
 def _leaf_windows(
-    n: int, ldeg: list[int], mind: int, maxd: int
+    n: int, pairs: list[tuple[int, int]], edges: list[int], mind: int, maxd: int
 ) -> list[tuple[int, list[int]]]:
     """(8v, win) per vertex v: bit leaf of win[hv] is set when hv, v's degree
     from the upper fields, plus v's degree in leaf lies in [mind, maxd]."""
     windows = []
-    for shift in range(0, 8 * n, 8):
-        by_degree = [0] * n
-        for leaf, d in enumerate(ldeg):
-            by_degree[d >> shift & 255] |= 1 << leaf
-        windows.append((shift, [
+    for v in range(n):
+        # The leaves giving v degree d, grown one low-field edge at a time.
+        by_degree = [(1 << (1 << len(edges))) - 1] + [0] * (n - 1)
+        for has, pair in zip(edges, pairs):
+            if v in pair:
+                below = [0, *by_degree]
+                by_degree = [d & ~has | e & has for d, e in zip(by_degree, below)]
+        windows.append((8 * v, [
             sum(by_degree[max(0, mind - hv):max(0, maxd - hv + 1)])
             for hv in range(n)
         ]))
@@ -115,7 +127,7 @@ def _leaf_windows(
 
 
 def _cover_table(
-    n: int, pairs: list[tuple[int, int]], low: int, k: int, colour: int
+    n: int, pairs: list[tuple[int, int]], edges: list[int], k: int, colour: int
 ) -> list[list[tuple[int, int]]]:
     """Per vertex v, highest label first, a pair (fixed, leaves) for each
     k-subset C holding v: fixed masks C's edges in the upper fields, and
@@ -124,14 +136,9 @@ def _cover_table(
     # the window [k1-1, n-k2] gives: d0 >= 1 if k1 = 2, n-1-d0 >= 1 if k2 = 2.
     if k <= 2:
         return []
-    nlow = 1 << low
-    every = (1 << nlow) - 1
-    has_colour = []
-    for e in range(low):
-        # High bit first, each run of 2**(e+1) leaves opens with bit e set.
-        half = 1 << e
-        ones = int(("1" * half + "0" * half) * (nlow >> (e + 1)), 2)
-        has_colour.append(every ^ ones if colour else ones)
+    low = len(edges)
+    every = (1 << (1 << low)) - 1
+    has_colour = [every ^ has if colour else has for has in edges]
     index = {p: e for e, p in enumerate(pairs)}
     subsets = []
     for clique in combinations(range(n), k):
@@ -243,17 +250,17 @@ def exists_enabling(
     top = max(0, nbits - _LOW_CAP - _MID_CAP)
     low = min(_LOW_CAP, nbits - top)
     mid = nbits - top - low
-    ldeg = _span_degrees(pairs, 0, low)
     mdeg = _span_degrees(pairs, low, mid)
-    windows = _leaf_windows(n, ldeg, mind, maxd)
-    cover0 = _cover_table(n, pairs, low, k1, 0)
-    cover1 = _cover_table(n, pairs, low, k2, 1)
+    edges = _edge_leaves(low)
+    windows = _leaf_windows(n, pairs, edges, mind, maxd)
+    cover0 = _cover_table(n, pairs, edges, k1, 0)
+    cover1 = _cover_table(n, pairs, edges, k2, 1)
 
     lanes = sum(1 << (8 * v) for v in range(n))
     high = lanes << 7
     over = (127 - maxd) * lanes
     under = (128 - mind) * lanes
-    lmax = ldeg[-1]
+    lmax = _value_degrees(pairs, 0, (1 << low) - 1)
     lmmax = lmax + mdeg[-1]
 
     nlow = 1 << low

@@ -196,6 +196,10 @@ def test_choose_family_unique_clique_either_policy():
                      "designated clique index 1 out of range", id="index"),
         pytest.param(((0, 1),), {2: 0},
                      "vertex 2 not in its designated clique", id="vertex"),
+        pytest.param(((1, 2),), {0: 0},
+                     "vertex 0 not in its designated clique", id="vertex-below"),
+        pytest.param(((0, 2),), {1: 0},
+                     "vertex 1 not in its designated clique", id="vertex-between"),
     ],
 )
 def test_clique_family_rejects_malformed_cliques(cliques, covered, message):

@@ -13,7 +13,7 @@ from enabling.constructions import (
     prime_slope,
     two_colour_extremal,
 )
-from enabling.graphs import pairs
+from enabling.graphs import pair_count, pair_index, pairs
 
 
 # --- path blow-up -----------------------------------------------------------
@@ -94,6 +94,31 @@ def test_extremal_cross_degrees_match_the_algebra():
         lo, rem = divmod(a * (b + y), red)
         assert set(hits) <= {lo, lo + (rem > 0)}, (k1, k2)
         assert sum(hits) == a * (b + y) and max(hits) <= y, (k1, k2)
+
+
+def reference_two_colour_extremal(k1, k2):
+    """The construction written pair by pair: R a colour-0 clique, B a
+    colour-1 clique, B vertex j joined in colour 0 to R vertices j*a, ...,
+    j*a+a-1 (mod |R|)."""
+    a, b, x, y = _extremal_parts(k1, k2)
+    red = a + x
+    n = red + b + y
+    cols = [1] * pair_count(n)
+    for u in range(red):
+        base = u * (2 * n - u - 1) // 2 - u - 1
+        for v in range(u + 1, red):
+            cols[base + v] = 0
+    for j in range(b + y):
+        for s in range(j * a, j * a + a):
+            cols[pair_index(n, s % red, red + j)] = 0
+    return tuple(cols)
+
+
+def test_extremal_colours_match_the_pair_by_pair_reference():
+    grid = [(k1, k2) for k1 in range(2, 41) for k2 in range(2, 41)]
+    for k1, k2 in grid + integer_extremal_pairs(200):
+        g = two_colour_extremal(k1, k2)
+        assert g.colours == reference_two_colour_extremal(k1, k2), (k1, k2)
 
 
 def test_integer_extremal_pairs_against_direct_scan():

@@ -1,9 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from enabling import graphs
 from enabling.graphs import (
     EdgeColouredGraph,
     build,
@@ -88,10 +90,20 @@ def test_adjacency_bitmasks_agree_with_colour_of():
                 assert bool(adj[u] >> v & 1) == expected
 
 
+def reference_adjacency(n, colours, c):
+    """Neighbour bitmasks of colour c, pair by pair."""
+    masks = [0] * n
+    for (u, v), colour in zip(pairs(n), colours):
+        if colour == c:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return tuple(masks)
+
+
 @given(
-    # Up to 256 colours the digit strings come from bytes(); beyond, from a
-    # generator.  Draw both sides of that limit.
-    st.tuples(st.integers(1, 12), st.sampled_from((2, 256, 300))).flatmap(
+    # Below 256 colours one byte matrix serves every colour; from 256 on
+    # each colour fills its own.  Draw both sides of that limit.
+    st.tuples(st.integers(1, 12), st.sampled_from((2, 255, 256, 300))).flatmap(
         lambda nr: st.tuples(
             st.just(nr[0]),
             st.just(nr[1]),
@@ -107,12 +119,32 @@ def test_adjacency_matches_a_pair_by_pair_reference(case):
     n, r, colours = case
     g = build(n, r, colours)
     for c in set(colours) | {0}:
-        masks = [0] * n
-        for (u, v), colour in zip(pairs(n), colours):
-            if colour == c:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-        assert g.adjacency(c) == tuple(masks)
+        assert g.adjacency(c) == reference_adjacency(n, colours, c)
+
+
+@pytest.mark.parametrize("r", [2, 255, 256, 300])
+def test_adjacency_fills_one_matrix_per_graph_in_any_order(r, monkeypatch):
+    """Every colour, asked for in a shuffled order and twice over, matches
+    the reference.  Below 256 colours the first request fills the one
+    matrix all colours are read from, with byte 255 on its diagonal; from
+    256 on no byte is free for the diagonal, and each colour fills its own
+    matrix of flags once."""
+    fills = []
+    real = graphs._pair_matrix
+    monkeypatch.setattr(
+        graphs, "_pair_matrix", lambda *args: fills.append(args) or real(*args)
+    )
+    rng = random.Random(r)
+    n = 30
+    # Every colour appears, 255 among them from r = 256 on.
+    colours = list(range(r)) + [rng.randrange(r) for _ in range(pair_count(n) - r)]
+    rng.shuffle(colours)
+    g = build(n, r, colours)
+    order = list(range(r)) * 2
+    rng.shuffle(order)
+    for c in order:
+        assert g.adjacency(c) == reference_adjacency(n, colours, c), c
+    assert len(fills) == (1 if r < 256 else r)
 
 
 def test_is_monochromatic_clique_against_bruteforce():

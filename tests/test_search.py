@@ -16,6 +16,7 @@ from enabling.search import (
     SearchReport,
     _cover_table,
     _covered,
+    _edge_leaves,
     _leaf_windows,
     _restrict,
     _span_degrees,
@@ -116,13 +117,13 @@ def test_block_cover_matches_brute_force(k):
                 1 << i for i in range(mid + top) if (rng.random() < density) != colour
             )
             good = (1 << (1 << low)) - 1
+            edges = _edge_leaves(low)
             if k == 2:
-                ldeg = _span_degrees(plist, 0, low)
                 hdeg = _value_degrees(plist, low, upper)
                 mind, maxd = (1, n - 1) if colour == 0 else (0, n - 2)
-                for shift, win in _leaf_windows(n, ldeg, mind, maxd):
+                for shift, win in _leaf_windows(n, plist, edges, mind, maxd):
                     good &= win[hdeg >> shift & 255]
-            table = _cover_table(n, plist, low, k, colour)
+            table = _cover_table(n, plist, edges, k, colour)
             # The upper-field edges lacking the colour, top then mid field.
             absent = upper ^ ((1 << (mid + top)) - 1) if colour == 0 else upper
             live = _restrict(table, absent >> mid << mid, (1 << mid) - 1)
@@ -133,6 +134,41 @@ def test_block_cover_matches_brute_force(k):
                 if brute_force_cover(n, plist, upper << low | leaf, k, colour)
             )
             assert got == expected, (n, k, colour, low, mid, upper)
+
+
+def reference_degree_bins(n, ldeg):
+    """Per vertex v, the leaves binned leaf by leaf by v's degree in them."""
+    bins = []
+    for shift in range(0, 8 * n, 8):
+        by_degree = [0] * n
+        for leaf, d in enumerate(ldeg):
+            by_degree[d >> shift & 255] |= 1 << leaf
+        bins.append((shift, by_degree))
+    return bins
+
+
+def test_leaf_windows_match_the_per_leaf_reference():
+    """For every n the search takes and every window mind <= maxd, on the
+    low field exists_enabling uses; the packed degree table, too, matches
+    its value-by-value form."""
+    for n in range(1, 12):
+        plist = list(pairs(n))
+        low = min(11, len(plist))
+        ldeg = _span_degrees(plist, 0, low)
+        assert ldeg == [_value_degrees(plist, 0, leaf) for leaf in range(1 << low)]
+        bins = reference_degree_bins(n, ldeg)
+        edges = _edge_leaves(low)
+        for mind in range(n):
+            for maxd in range(mind, n):
+                expected = [
+                    (shift, [
+                        sum(by_degree[max(0, mind - hv):max(0, maxd - hv + 1)])
+                        for hv in range(n)
+                    ])
+                    for shift, by_degree in bins
+                ]
+                got = _leaf_windows(n, plist, edges, mind, maxd)
+                assert got == expected, (n, mind, maxd)
 
 
 def test_pruned_count_matches_degree_window_oracle():
