@@ -165,10 +165,10 @@ def compute_delta(
 
     The quotient LP has one variable per vertex cell, one row per clique
     cell and the mass row weighted by cell sizes.  lam is lifted uniform on
-    each vertex cell and the dual Y_b of clique cell b as Y_b / |b| on each
-    of its cliques; ``lp._certify_optimal`` then audits the pair on the
-    full-size LP, so a partition that is not equitable raises AuditFailure.
-    The mass row is tight at the optimum, so lam sums to 1 exactly.
+    each vertex cell, and the dual Y_b of clique cell b as one Y_b / |b|
+    that its cliques share; ``lp._certify_optimal`` then audits the pair on
+    the full-size LP, so a partition that is not equitable raises
+    AuditFailure.  The mass row is tight at the optimum, so lam sums to 1.
     """
     cliques = fam.cliques
     if not cliques:
@@ -190,7 +190,8 @@ def compute_delta(
     sol = solve_lp_exact([0] * p + [1], constraints)
     delta = sol.value
     lam = [sol.primal[a] for a in vcell]
-    duals = [sol.dual[b] / csize[b] for b in ccell]
+    per_cell = [sol.dual[b] / csize[b] for b in range(q)]
+    duals = list(map(per_cell.__getitem__, ccell))
     rows = [{**dict.fromkeys(c, -1), n: 1} for c in cliques]
     rows.append(dict.fromkeys(range(n), 1))
     ones = [1] * (m + 1)
@@ -205,7 +206,8 @@ def construct_mu(
     g: EdgeColouredGraph, fam: CliqueFamily, delta: Fraction, duals: Sequence[Fraction]
 ) -> FamilyMeasure:
     """The clique duals of ``compute_delta``'s LP, divided by their sum: a
-    probability measure on fam whose vertex masses stay within delta.
+    probability measure on fam whose vertex masses stay within delta.  The
+    duals are summed as integers, and each distinct one is divided once.
 
     Every such measure puts mass at least the exact delta on some vertex
     (average its masses under an optimal lam), so an understated delta
@@ -215,13 +217,14 @@ def construct_mu(
         raise ValueError("clique family is empty")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    total = sum(duals, Fraction(0))
+    nums, _ = _common_denominator(duals)
+    total = sum(nums)
     if len(duals) != len(fam.cliques) or total <= 0:
         raise ValueError("need one dual per clique, with a positive sum")
-    mu = FamilyMeasure(tuple(y / total for y in duals))
-    w, den = _common_denominator(mu.weights)
-    if max(_vertex_masses(g.n, fam.cliques, w)) * delta.denominator > (
-        delta.numerator * den
+    share = {a: Fraction(a, total) for a in set(nums)}
+    mu = FamilyMeasure(tuple(map(share.__getitem__, nums)))
+    if max(_vertex_masses(g.n, fam.cliques, nums)) * delta.denominator > (
+        delta.numerator * total
     ):
         raise LemmaViolation(f"a mu vertex mass exceeds delta={delta}")
     return mu
@@ -401,6 +404,18 @@ def _unrat(doc: dict) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def _unrats(docs, memo: dict) -> list[Fraction]:
+    """``_unrat`` of each entry, each distinct pair of strings decoded once."""
+    out = []
+    for d in docs:
+        key = d["num"], d["den"]
+        if type(key[0]) is not str or type(key[1]) is not str:
+            out.append(_unrat(d))
+        else:
+            out.append(memo[key] if key in memo else memo.setdefault(key, _unrat(d)))
+    return out
+
+
 def _universal(k1: int, k2: int) -> tuple[int, str]:
     """The closed-form two-colour lower bound, and (sqrt(k1-1) + sqrt(k2-1))^2
     written out, as an integer when it is one."""
@@ -514,8 +529,10 @@ def certificate_from_json_dict(doc: dict) -> dict:
 
     A missing field raises KeyError or TypeError.  A malformed one raises
     ValueError: counts, colours and vertices must be JSON integers, and a
-    rational needs decimal strings with a positive denominator.
+    rational needs decimal strings with a positive denominator.  Within one
+    document each distinct rational of the measure vectors is decoded once.
     """
+    memo: dict = {}
     out = {
         "n": _int(doc["n"]),
         "r": _int(doc["r"]),
@@ -537,9 +554,9 @@ def certificate_from_json_dict(doc: dict) -> dict:
                 "cliques": [_ints(q) for q in c["cliques"]],
                 "delta": _unrat(c["delta"]),
                 "alpha": _unrat(c["alpha"]),
-                "lambda": [_unrat(w) for w in c["lambda"]],
-                "mu": [_unrat(w) for w in c["mu"]],
-                "mu_vertex_mass": [_unrat(w) for w in c["mu_vertex_mass"]],
+                "lambda": _unrats(c["lambda"], memo),
+                "mu": _unrats(c["mu"], memo),
+                "mu_vertex_mass": _unrats(c["mu_vertex_mass"], memo),
             }
         )
     for p in doc.get("pairwise", []):

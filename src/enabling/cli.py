@@ -5,12 +5,14 @@ structured output is canonical JSON (sorted keys, no spaces) on standard
 out; logs and progress go to standard error.  Exit codes: 0 success, 1
 negative mathematical answer (not enabling / no witness), 2 usage or input
 error, 3 a falsified internal invariant, which would indicate a genuine bug
-in the underlying mathematics or this implementation.
+in the underlying mathematics or this implementation.  A flag the chosen
+mode ignores is a usage error.  The parser is built once, at the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,6 +94,14 @@ def _int_params(text: str, count: int, what: str) -> list[int]:
     return [int(p) for p in parts]
 
 
+def _refuse_ignored(args: argparse.Namespace, mode: str, *flags: str) -> None:
+    """A usage error naming each of flags, given to a mode that ignores it."""
+    values = [getattr(args, f[2:].replace("-", "_")) for f in flags]
+    given = [f for f, v in zip(flags, values) if v is not None and v is not False]
+    if given:
+        raise ValueError(f"{mode} does not take {', '.join(given)}")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.family == "p4":
         (n,) = _int_params(args.params, 1, "p4")
@@ -143,6 +153,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.check is not None:
+        _refuse_ignored(args, "certify --check", "--targets", "--policy")
+    elif args.targets is None:
+        raise ValueError("certify needs --targets unless --check is given")
     g = _load_graph(args.graph)
     if args.check is not None:
         issues = certificates.check_certificate(g, _load_json(args.check))
@@ -151,7 +165,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             _log(issue, error=True)
         return 0 if not issues else 1
     result = certificates.certify(
-        g, _parse_targets(args.targets), policy=_POLICIES[args.policy]
+        g, _parse_targets(args.targets), policy=_POLICIES[args.policy or "all"]
     )
     _emit(_canonical(result.to_json_dict()), args.output)
     return 0
@@ -175,6 +189,7 @@ def _search_progress(count: int) -> None:
 def _cmd_search(args: argparse.Namespace) -> int:
     progress = _search_progress if not args.quiet else None
     if args.min_n:
+        _refuse_ignored(args, "search --min-n", "--n", "--timings")
         if args.n_max is None:
             raise ValueError("--min-n needs --n-max")
         report = _least_witness(
@@ -194,6 +209,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if hit is not None and args.witness_out is not None:
             _write_witness(report, args.witness_out)
         return 0 if hit is not None else 1
+    _refuse_ignored(args, "search without --min-n", "--n-max", "--trusted-bounds")
     if args.n is None:
         raise ValueError("existence mode needs --n (or use --min-n with --n-max)")
     report = exists_enabling(args.n, args.k1, args.k2, progress=progress)
@@ -223,6 +239,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enabling",
@@ -248,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="produce or re-check measure certificates")
     p.add_argument("--graph", required=True, help="graph JSON file, - for stdin")
     p.add_argument("--targets", help='e.g. "0:3,1:9"; required unless --check')
-    p.add_argument("--policy", choices=sorted(_POLICIES), default="all")
+    p.add_argument("--policy", choices=sorted(_POLICIES), help="default: all")
     p.add_argument("--check", help="re-verify this certificate JSON, no solving")
     add_output(p)
     p.set_defaults(func=_cmd_certify)
@@ -290,8 +307,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "certify" and args.check is None and args.targets is None:
-            raise ValueError("certify needs --targets unless --check is given")
         return args.func(args)
     except certificates.NotEnabling as exc:
         _log(f"not enabling: {exc}", error=True)

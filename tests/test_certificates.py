@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from enabling.certificates import (
 )
 from enabling.cliques import ALL_CLIQUES, PER_VERTEX_LEX, CliqueFamily, choose_family
 from enabling.constructions import (
+    integer_extremal_pairs,
     multicolour_blocks,
     p4_blowup,
     prime_slope,
@@ -126,6 +128,52 @@ def test_lp_answers_are_rechecked_without_asserts(monkeypatch):
             compute_delta(g, fam)
     with pytest.raises(LemmaViolation, match="exceeds delta"):
         construct_mu(g, fam, F(1, 2), (F(1), F(0), F(0)))
+
+
+def _cli_bench_families():
+    """Every colour's all-cliques family on the graphs the CLI bench certifies."""
+    built = [(multicolour_blocks(r, k), [(c, k) for c in range(r)])
+             for r in range(2, 5) for k in range(2, 7)]
+    built += [(prime_slope(p), [(c, p) for c in range(p + 1)]) for p in (2, 3, 5, 7)]
+    built += [(two_colour_extremal(k1, k2), [(0, k1), (1, k2)])
+              for k1, k2 in integer_extremal_pairs(24)]
+    return [(g, choose_family(g, c, k, ALL_CLIQUES)) for g, ts in built for c, k in ts]
+
+
+def test_construct_mu_matches_the_per_clique_fraction_reference():
+    # The reference divides each clique's dual by their Fraction sum.
+    def reference(duals):
+        total = sum(duals)
+        return tuple(y / total for y in duals)
+
+    rng = random.Random(16)
+    for g, fam in _cli_bench_families():
+        delta, _, duals = compute_delta(g, fam)
+        assert construct_mu(g, fam, delta, duals).weights == reference(duals)
+        m = len(fam.cliques)
+        drawn = [F(rng.choice((0, rng.randint(1, 9))), rng.randint(1, 12))
+                 for _ in range(m)]
+        one = [F(0)] * m
+        for duals in (drawn, one):
+            duals[rng.randrange(m)] = F(rng.randint(1, 9), rng.randint(1, 12))
+            # No vertex carries more than 1 under a probability measure.
+            assert construct_mu(g, fam, F(1), duals).weights == reference(duals)
+
+
+def test_construct_mu_keeps_its_error_texts():
+    g = p4()
+    fam = choose_family(g, 0, 2, ALL_CLIQUES)
+    assert len(fam.cliques) == 3
+    for duals in ((), (F(1),) * 2, (F(1),) * 4, (F(0),) * 3, (F(1), F(-2), F(0))):
+        with pytest.raises(ValueError) as exc:
+            construct_mu(g, fam, F(1, 2), duals)
+        assert str(exc.value) == "need one dual per clique, with a positive sum"
+    with pytest.raises(ValueError, match="^weights must be nonnegative and sum to 1$"):
+        construct_mu(g, fam, F(1), (F(2), F(-1), F(0)))
+    with pytest.raises(ValueError, match="^delta must be positive, got 0$"):
+        construct_mu(g, fam, F(0), (F(1),) * 3)
+    with pytest.raises(LemmaViolation, match="exceeds delta=1/4"):
+        construct_mu(g, fam, F(1, 4), (F(1),) * 3)
 
 
 def test_pairwise_intersections():
@@ -280,6 +328,12 @@ def _set_clique(vertices):
     return mutate
 
 
+def _after_a_third(bad):
+    def mutate(doc):
+        doc["certificates"][0]["lambda"][:2] = [{"num": "1", "den": "3"}, bad]
+    return mutate
+
+
 def _uncover(doc):
     # colour 0 of p4_blowup(5): the twins 0 and 1 each lie in one clique,
     # with vertex 2, of mu weight 1/4, and have equal colour-1 masses.
@@ -374,6 +428,12 @@ PROBES = {
         lambda d: d["certificates"][0]["mu"].__setitem__(0, {"num": "x", "den": "2"}),
         "malformed",
     ),
+    # A valid 1/3 comes first in lambda, so a decode memo has seen it.
+    "memo: same num, zero den": (4, _after_a_third({"num": "1", "den": "0"}), "malformed"),
+    "memo: same num, padded den": (
+        4, _after_a_third({"num": "1", "den": " 3"}), "malformed"
+    ),
+    "memo: integer num": (4, _after_a_third({"num": 1, "den": "3"}), "malformed"),
     "numeral not a string": (
         4,
         lambda d: d["pairwise"][0].update(delta_sum={"num": 1, "den": 1}),
@@ -414,6 +474,22 @@ def test_recheck_rejects_unsound_and_malformed_documents(name):
     issues = check_certificate(g, doc)
     assert issues and all(isinstance(i, str) for i in issues)
     assert any(expected in i for i in issues), issues
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"num": ["1"], "den": "3"}, {"num": "1", "den": {"3": 3}}, {"num": 1, "den": "3"},
+     {"num": "1", "den": " 3"}, {"num": "1", "den": "0"}, {"num": "1"}, [], "1/3"],
+)
+def test_memoised_decode_fails_as_the_plain_one_does(bad):
+    memo = {}
+    assert certificates._unrats([{"num": "1", "den": "3"}] * 2, memo) == [F(1, 3)] * 2
+    with pytest.raises(Exception) as plain:
+        certificates._unrat(bad)
+    with pytest.raises(type(plain.value)) as memoised:
+        certificates._unrats([{"num": "1", "den": "3"}, bad], memo)
+    assert str(memoised.value) == str(plain.value)
+    assert list(memo) == [("1", "3")]
 
 
 @st.composite

@@ -1,5 +1,8 @@
+import argparse
 import json
+import re
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -288,3 +291,86 @@ def test_output_file_flag(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["exact"] == 4
+
+
+def _graph_and_certificate(tmp_path, capsys):
+    gpath, cpath = tmp_path / "g.json", tmp_path / "cert.json"
+    gpath.write_text(run(capsys, "construct", "--family", "p4", "--params", "4")[1])
+    code, cout, _ = run(capsys, "certify", "--graph", str(gpath), "--targets", "0:2,1:2")
+    assert code == 0
+    cpath.write_text(cout)
+    return str(gpath), str(cpath)
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+
+    class Spy(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Spy))
+    for argv in (["bound", "--two-colour", "2", "3"], ["--help"], ["bogus"],
+                 ["search", "--k1", "2", "--k2", "2", "--n", "4", "--quiet"]):
+        run(capsys, *argv)
+    cli._build_parser.cache_clear()
+    assert built.count("enabling") == 1
+
+
+SEARCH = ["search", "--k1", "2", "--k2", "3", "--n", "6", "--quiet"]
+SEQUENCES = {
+    "check then certify": (
+        ["certify", "--graph", "{g}", "--check", "{c}"],
+        ["certify", "--graph", "{g}", "--targets", "0:2,1:2"],
+    ),
+    "timings then none": (SEARCH + ["--timings"], SEARCH),
+    "help then valid": (["--help"], ["bound", "--two-colour", "2", "3"]),
+    "usage error then valid": (
+        ["search", "--k1", "2"], ["verify", "--graph", "{g}", "--targets", "0:2,1:2"]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_parser_reuse_leaks_no_state_between_calls(tmp_path, capsys, name):
+    g, c = _graph_and_certificate(tmp_path, capsys)
+    calls = [[a.format(g=g, c=c) for a in argv] for argv in SEQUENCES[name]]
+
+    def untimed(result):
+        code, out, err = result
+        return code, re.sub(r'"elapsed_seconds":[^,}]+', "", out), err
+
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()  # this call gets a parser of its own
+        alone.append(untimed(run(capsys, *argv)))
+    cli._build_parser.cache_clear()
+    assert [untimed(run(capsys, *argv)) for argv in calls] == alone
+    assert "elapsed_seconds" not in alone[-1][1]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["search", "--min-n", "--n-max", "5", "--n", "4"], "--n"),
+        (["search", "--min-n", "--n-max", "5", "--n", "0"], "--n"),
+        (["search", "--min-n", "--n-max", "5", "--timings"], "--timings"),
+        (["search", "--n", "4", "--n-max", "5"], "--n-max"),
+        (["search", "--n", "4", "--trusted-bounds"], "--trusted-bounds"),
+        (["certify", "--graph", "{g}", "--check", "{c}", "--targets", "0:2,1:2"],
+         "--targets"),
+        (["certify", "--graph", "{g}", "--check", "{c}", "--policy", "all"],
+         "--policy"),
+    ],
+    ids=["min-n/n", "min-n/n=0", "min-n/timings", "exists/n-max",
+         "exists/trusted-bounds", "check/targets", "check/policy"],
+)
+def test_flags_the_mode_ignores_are_usage_errors(tmp_path, capsys, argv, flag):
+    g, c = _graph_and_certificate(tmp_path, capsys)
+    if argv[0] == "search":
+        argv = argv[:1] + ["--k1", "2", "--k2", "2", "--quiet"] + argv[1:]
+    code, out, err = run(capsys, *(a.format(g=g, c=c) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.rstrip().endswith(f"does not take {flag}")
