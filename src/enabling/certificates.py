@@ -14,8 +14,8 @@ no measure can beat delta.
 One exact LP per colour gives both: max delta subject to lam(C) >= delta
 for every C and sum(lam) <= 1, whose clique duals, normalised, are mu.  It
 is solved on the quotient of the colour-refinement partition of the
-vertex-clique incidence, and the lifted solution is audited at full size
-with integer arithmetic, so soundness never rests on the reduction.
+vertex-clique incidence; the lifted solution is audited at full size on the
+clique/vertex shape, in integers, so soundness never rests on the reduction.
 
 ``certify`` runs the full pipeline for every target colour of a graph,
 asserts the cross-colour laws (delta_i + delta_j <= 1, sum_v mu_i mu_j <= 1),
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
-from math import isqrt, lcm
+from math import ceil, isqrt, lcm
 from operator import and_
 from typing import Iterable, Sequence
 
@@ -44,13 +44,13 @@ from .cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
     CliqueFamily,
+    _check_targets,
     _lex_family,
     choose_family,
     verify_enabling,
 )
-from . import lp
 from .graphs import EdgeColouredGraph
-from .lp import LE, solve_lp_exact
+from .lp import LE, AuditFailure, solve_lp_exact
 
 __all__ = [
     "ColourCertificate",
@@ -166,9 +166,9 @@ def compute_delta(
     The quotient LP has one variable per vertex cell, one row per clique
     cell and the mass row weighted by cell sizes.  lam is lifted uniform on
     each vertex cell, and the dual Y_b of clique cell b as one Y_b / |b|
-    that its cliques share; ``lp._certify_optimal`` then audits the pair on
-    the full-size LP, so a partition that is not equitable raises
-    AuditFailure.  The mass row is tight at the optimum, so lam sums to 1.
+    that its cliques share; ``lp``'s audit checks then run on the pair at
+    full size, on the cliques and vertices, so a partition that is not
+    equitable raises AuditFailure.  The mass row is tight, so lam sums to 1.
     """
     cliques = fam.cliques
     if not cliques:
@@ -192,11 +192,22 @@ def compute_delta(
     lam = [sol.primal[a] for a in vcell]
     per_cell = [sol.dual[b] / csize[b] for b in range(q)]
     duals = list(map(per_cell.__getitem__, ccell))
-    rows = [{**dict.fromkeys(c, -1), n: 1} for c in cliques]
-    rows.append(dict.fromkeys(range(n), 1))
-    ones = [1] * (m + 1)
-    full = lp._Problem([0] * n + [1], 1, rows, [LE] * (m + 1), [0] * m + [1], ones)
-    lp._certify_optimal(full, lam + [delta], duals + [sol.dual[q]], delta)
+    # The full-size audit, in integers on the clique/vertex shape: x is lam and
+    # delta, y the clique and mass-row duals, each lifted from its cell values.
+    cx, xden = _common_denominator([*sol.primal, delta])
+    x = [*map(cx.__getitem__, vcell), cx[p]]
+    if min(x) < 0:
+        raise AuditFailure("primal variable went negative")
+    if sum(x) - x[n] > xden or min(sum(map(x.__getitem__, c)) for c in cliques) < x[n]:
+        raise AuditFailure("primal constraint violated on a <= row")
+    cy, yden = _common_denominator([*per_cell, sol.dual[q]])
+    y = [*map(cy.__getitem__, ccell), cy[q]]
+    if min(y) < 0:
+        raise AuditFailure("dual sign violated on a <= row")
+    if sum(y) - y[m] < yden or max(_vertex_masses(n, cliques, y)) > y[m]:
+        raise AuditFailure("dual constraint violated")
+    if y[m] * delta.denominator != delta.numerator * yden:
+        raise AuditFailure("strong duality failed")
     if delta < Fraction(fam.k, n):
         raise LemmaViolation(f"delta {delta} fell below the uniform floor {fam.k}/{n}")
     return delta, VertexMeasure(tuple(lam)), tuple(duals)
@@ -223,10 +234,10 @@ def construct_mu(
         raise ValueError("need one dual per clique, with a positive sum")
     share = {a: Fraction(a, total) for a in set(nums)}
     mu = FamilyMeasure(tuple(map(share.__getitem__, nums)))
-    if max(_vertex_masses(g.n, fam.cliques, nums)) * delta.denominator > (
-        delta.numerator * total
-    ):
+    masses = _vertex_masses(g.n, fam.cliques, nums)
+    if max(masses) * delta.denominator > delta.numerator * total:
         raise LemmaViolation(f"a mu vertex mass exceeds delta={delta}")
+    object.__setattr__(mu, "_masses", (masses, total))  # certify keeps these as is
     return mu
 
 
@@ -426,10 +437,6 @@ def _universal(k1: int, k2: int) -> tuple[int, str]:
     return two_colour_lower(k1, k2), form
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def certify(
     g: EdgeColouredGraph,
     targets: Sequence[tuple[int, int]],
@@ -441,23 +448,26 @@ def certify(
     on malformed targets, and LemmaViolation when a guaranteed inequality
     fails (which would falsify the underlying mathematics).
     """
-    report = verify_enabling(g, targets)
-    if not report.ok:
-        v, c = report.first_failure
-        raise NotEnabling(
-            f"vertex {v} lies in no size-{dict((cc, kk) for cc, kk in targets)[c]} "
-            f"clique of colour {c}"
+    if policy == ALL_CLIQUES:  # every clique is listed, so they show the coverage
+        _check_targets(g, targets)
+        fams = [choose_family(g, colour, k, policy) for colour, k in targets]
+        first = next(((v, f.colour) for f in fams for v in range(g.n)
+                      if v not in f.covered), None)
+    else:  # the lexicographically smallest witnesses make the lex family
+        report = verify_enabling(g, targets)
+        first = report.first_failure
+        fams = (
+            _lex_family(colour, k, {v: report.witnesses[v, colour] for v in range(g.n)})
+            if policy == PER_VERTEX_LEX else choose_family(g, colour, k, policy)
+            for colour, k in targets
         )
+    if first is not None:
+        v, c = first
+        raise NotEnabling(f"vertex {v} lies in no size-{dict(targets)[c]} clique "
+                          f"of colour {c}")
 
     certs: list[ColourCertificate] = []
-    for colour, k in targets:
-        if policy == PER_VERTEX_LEX:
-            # The witnesses are the lexicographically smallest cliques the
-            # family is built from; searching them again would repeat work.
-            found = {v: report.witnesses[v, colour] for v in range(g.n)}
-            fam = _lex_family(colour, k, found)
-        else:
-            fam = choose_family(g, colour, k, policy)
+    for (colour, k), fam in zip(targets, fams):
         delta, lam, duals = compute_delta(g, fam)
         if not support_clique_check(g, colour, lam, delta):
             raise LemmaViolation(
@@ -465,10 +475,12 @@ def certify(
                 f"colour-{colour} clique"
             )
         mu = construct_mu(g, fam, delta, duals)
-        certs.append(ColourCertificate(
-            colour, k, fam, delta, 1 / delta, lam, mu, mu_vertex_masses(g.n, fam, mu)))
+        ints, total = mu._masses
+        share = {a: Fraction(a, total) for a in set(ints)}
+        certs.append(ColourCertificate(colour, k, fam, delta, 1 / delta, lam, mu,
+                                       tuple(map(share.__getitem__, ints))))
 
-    masses = [_common_denominator(c.mu_vertex_mass) for c in certs]
+    masses = [c.mu._masses for c in certs]
     pairwise: list[PairwiseCheck] = []
     for i in range(len(certs)):
         for j in range(i + 1, len(certs)):
@@ -518,7 +530,7 @@ def certify(
         certificates=tuple(certs),
         pairwise=tuple(pairwise),
         bound=bound,
-        bound_ceiling=_ceil(bound),
+        bound_ceiling=ceil(bound),
         universal_lower=universal_lower,
         universal_form=universal_form,
     )
@@ -667,7 +679,7 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
             issues.append(f"stored bound {cert['bound']} is not the recomputed value")
     if cert["bound"] > g.n:
         issues.append(f"stored bound {cert['bound']} exceeds the vertex count {g.n}")
-    if cert["bound_ceiling"] != _ceil(cert["bound"]):
+    if cert["bound_ceiling"] != ceil(cert["bound"]):
         issues.append(
             f"stored ceiling {cert['bound_ceiling']} is not the ceiling of "
             f"the bound {cert['bound']}"

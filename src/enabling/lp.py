@@ -11,9 +11,7 @@ Every solve re-checks its own answer against the input rows, never the
 tableau: ``_certify_optimal`` verifies primal feasibility, dual signs, dual
 feasibility and strong duality with integer dot products over the
 nonzeros, and raises AuditFailure, which ``python -O`` keeps.  The same
-audit takes any ``_Problem`` built directly as sparse integer rows;
-``certificates.compute_delta`` uses it to check, at full size, a solution
-lifted from a quotient LP.
+checks run at full size in ``certificates``, on the clique/vertex shape.
 """
 
 from __future__ import annotations

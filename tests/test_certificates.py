@@ -20,7 +20,13 @@ from enabling.certificates import (
     support_clique_check,
     two_colour_bound,
 )
-from enabling.cliques import ALL_CLIQUES, PER_VERTEX_LEX, CliqueFamily, choose_family
+from enabling.cliques import (
+    ALL_CLIQUES,
+    PER_VERTEX_LEX,
+    CliqueFamily,
+    choose_family,
+    verify_enabling,
+)
 from enabling.constructions import (
     integer_extremal_pairs,
     multicolour_blocks,
@@ -617,3 +623,40 @@ def test_integer_masses_and_products_match_fraction_reference(case):
         certificates._common_denominator(other),
     )
     assert product == sum((a * b for a, b in zip(reference, other)), F(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_certify_refuses_the_pair_verify_names_first_under_either_policy(data):
+    # All-cliques certify reads coverage from its families instead of running
+    # the witness walk; it must still refuse the same (vertex, colour) first.
+    n = data.draw(st.integers(2, 7))
+    red = data.draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                             max_size=n * (n - 1) // 2))
+    g = build(n, 2, [0 if r else 1 for r in red])
+    ks = data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=2))
+    targets = data.draw(st.permutations([(0, ks[0]), (1, ks[1])]))
+    report = verify_enabling(g, targets)
+    for policy in (ALL_CLIQUES, PER_VERTEX_LEX):
+        if report.ok:
+            res = certify(g, targets, policy)
+            for c in res.certificates:
+                assert c.mu_vertex_mass == mu_vertex_masses(g.n, c.family, c.mu)
+            continue
+        v, colour = report.first_failure
+        k = dict(targets)[colour]
+        with pytest.raises(NotEnabling) as exc:
+            certify(g, targets, policy)
+        assert str(exc.value) == f"vertex {v} lies in no size-{k} clique of colour {colour}"
+
+
+def test_all_cliques_certify_searches_each_colour_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(certificates, "verify_enabling",
+                        lambda *a: calls.append("verify"))
+    real = certificates.choose_family
+    monkeypatch.setattr(certificates, "choose_family",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    g = two_colour_extremal(3, 3)
+    doc = json.loads(certify(g, ((1, 3), (0, 3)), ALL_CLIQUES).to_json())
+    assert calls == [1, 0] and check_certificate(g, doc) == []

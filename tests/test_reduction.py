@@ -1,17 +1,24 @@
 """compute_delta solves its LP on the colour-refinement quotient; these
 tests hold it to a full-size solve and to the full-size audit."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from collections import Counter
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from enabling import certificates
+import enabling
+from enabling import certificates, lp
 from enabling.certificates import compute_delta, construct_mu, mu_vertex_masses
 from enabling.cliques import ALL_CLIQUES, CliqueFamily, choose_family
 from enabling.constructions import p4_blowup
 from enabling.graphs import monochromatic_complete
-from enabling.lp import LE, AuditFailure, solve_lp_exact
+from enabling.lp import LE, AuditFailure, LPSolution, solve_lp_exact
 
 
 @st.composite
@@ -124,3 +131,104 @@ def test_asymmetric_family_refines_to_singletons():
     delta, _, _ = compute_delta(monochromatic_complete(7, r=1),
                                 CliqueFamily(0, 2, cliques))
     assert delta == _full_size_delta(7, cliques)
+
+
+def _full_lp_audit(n, cliques, lam, delta, duals, mass_dual):
+    """The reference: the whole LP built as one sparse row per clique plus
+    the mass row, and handed to lp's generic optimality audit."""
+    m = len(cliques)
+    rows = [{**dict.fromkeys(c, -1), n: 1} for c in cliques]
+    rows.append(dict.fromkeys(range(n), 1))
+    ones = [1] * (m + 1)
+    full = lp._Problem([0] * n + [1], 1, rows, [LE] * (m + 1), [0] * m + [1], ones)
+    lp._certify_optimal(full, lam + [delta], duals + [mass_dual], delta)
+
+
+def _audit_text(fn):
+    """The AuditFailure text fn raises, or None when it passes."""
+    try:
+        fn()
+    except AuditFailure as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_families(), st.data())
+def test_the_shape_audit_fails_exactly_where_the_full_lp_audit_does(case, data):
+    n, fam, _ = case
+    cliques = fam.cliques
+    vcell, ccell = certificates._refine(n, cliques)
+    partition = data.draw(st.sampled_from(["refined", "coarsened", "discrete"]))
+    if partition == "discrete":
+        vcell, ccell = list(range(n)), list(range(len(cliques)))
+    elif partition == "coarsened":
+        side = data.draw(st.sampled_from([0, 1]))
+        cells = (vcell, ccell)[side]
+        if max(cells) > 0:
+            a, b = data.draw(st.lists(st.integers(0, max(cells)), min_size=2,
+                                      max_size=2, unique=True))
+            merged = _merge(cells, a, b)
+            vcell, ccell = (merged, ccell) if side == 0 else (vcell, merged)
+    p, q = max(vcell) + 1, max(ccell) + 1
+    # One entry of the quotient solution moved up or down: with the discrete
+    # partition that is one vertex weight or one clique dual at full size.
+    entry = data.draw(st.sampled_from(["none", "lam", "dual", "mass"]))
+    index = data.draw(st.integers(0, max(p, q) - 1))
+    step = Fraction(data.draw(st.sampled_from([-2, -1, 1, 2])),
+                    data.draw(st.integers(1, 16)))
+    seen = []
+
+    def perturbed_solve(objective, constraints):
+        sol = solve_lp_exact(objective, constraints)
+        primal, dual = list(sol.primal), list(sol.dual)
+        if entry == "lam":
+            primal[index % p] += step
+        elif entry == "dual":
+            dual[index % q] += step
+        elif entry == "mass":
+            dual[q] += step
+        seen.append(LPSolution(sol.value, tuple(primal), tuple(dual)))
+        return seen[-1]
+
+    g = monochromatic_complete(n, r=1)
+    with patch.object(certificates, "_refine", lambda *args: (vcell, ccell)), \
+            patch.object(certificates, "solve_lp_exact", perturbed_solve):
+        got = _audit_text(lambda: compute_delta(g, fam))
+    (sol,) = seen
+    size = Counter(ccell)
+    lam = [sol.primal[a] for a in vcell]
+    duals = [sol.dual[b] / size[b] for b in ccell]
+    want = _audit_text(
+        lambda: _full_lp_audit(n, cliques, lam, sol.value, duals, sol.dual[q]))
+    assert got == want
+
+
+def test_the_full_size_audit_survives_optimisation_flag():
+    """A partition that is not equitable still raises AuditFailure under
+    python -O, which strips asserts."""
+    code = textwrap.dedent(
+        """
+        from enabling import certificates
+        from enabling.cliques import ALL_CLIQUES, choose_family
+        from enabling.constructions import p4_blowup
+        from enabling.lp import AuditFailure
+
+        assert False, "asserts must be stripped in this run"
+        g = p4_blowup(4)
+        fam = choose_family(g, 0, 2, ALL_CLIQUES)
+        certificates._refine = lambda n, cliques: ([0] * n, [0] * len(cliques))
+        try:
+            certificates.compute_delta(g, fam)
+        except AuditFailure as exc:
+            print("rejected:", exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(enabling.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.splitlines()
+    assert out == ["rejected: dual constraint violated"]
