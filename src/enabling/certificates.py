@@ -44,10 +44,9 @@ from .cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
     CliqueFamily,
+    NotEnabling,
     _check_targets,
-    _lex_family,
     choose_family,
-    verify_enabling,
 )
 from .graphs import EdgeColouredGraph
 from .lp import LE, AuditFailure, solve_lp_exact
@@ -70,10 +69,6 @@ __all__ = [
     "support_clique_check",
     "two_colour_bound",
 ]
-
-
-class NotEnabling(ValueError):
-    """The graph does not put every vertex in the required cliques."""
 
 
 @dataclass(frozen=True)
@@ -139,13 +134,24 @@ def _refine(n: int, cliques: Sequence[Sequence[int]]) -> tuple[list[int], list[i
     split the sides in turn by each member's cell and the sorted multiset of
     its neighbours' cells, until a split leaves its side's count unchanged.
     Multisets are compared whole, never by a hash, so a collision cannot
-    leave a cell whose members see different counts."""
+    leave a cell whose members see different counts.  The first split is by
+    clique size and, if that leaves one clique cell, the second by how many
+    cliques hold each vertex, so both are taken in closed form.  Cells are
+    numbered by first appearance either way."""
     member_of: list[list[int]] = [[] for _ in range(n)]
     for i, c in enumerate(cliques):
         for v in c:
             member_of[v].append(i)
-    cells, counts = [[0] * len(cliques), [0] * n], [1, 1]
-    for step in count():
+    sizes: dict = {}
+    cells = [[sizes.setdefault(len(c), len(sizes)) for c in cliques], [0] * n]
+    counts, start = [len(sizes), 1], 1
+    if len(sizes) <= 1:
+        degrees: dict = {}
+        cells[1] = [degrees.setdefault(len(m), len(degrees)) for m in member_of]
+        if len(degrees) == 1:
+            return cells[1], cells[0]
+        counts[1], start = len(degrees), 2
+    for step in count(start):
         side = step % 2
         other = cells[1 - side].__getitem__
         ids: dict = {}
@@ -153,7 +159,7 @@ def _refine(n: int, cliques: Sequence[Sequence[int]]) -> tuple[list[int], list[i
             ids.setdefault((own, tuple(sorted(map(other, nbrs)))), len(ids))
             for own, nbrs in zip(cells[side], member_of if side else cliques)
         ]
-        if step and len(ids) == counts[side]:
+        if len(ids) == counts[side]:
             return cells[1], cells[0]
         counts[side] = len(ids)
 
@@ -272,7 +278,9 @@ def support_clique_check(
     single clique of the colour; below that threshold the check is vacuous."""
     if delta <= Fraction(1, 2):
         return True
-    return g.is_monochromatic_clique(lam.support(), colour)
+    adj, support = g.adjacency(colour), lam.support()
+    mask = _mask(support)  # a clique when each closed row holds all of it
+    return reduce(and_, (adj[v] | 1 << v for v in support), mask) == mask
 
 
 def two_colour_bound(k1: int, k2: int, delta1, delta2) -> Fraction:
@@ -343,6 +351,14 @@ class CertificationResult:
     universal_form: str | None
 
     def to_json_dict(self) -> dict:
+        strings: dict = {}  # id -> (num, den): weights repeat the same objects
+
+        def rats(xs: Sequence[Fraction]) -> list[dict]:
+            for x in xs:
+                if id(x) not in strings:
+                    strings[id(x)] = str(x.numerator), str(x.denominator)
+            return [{"num": a, "den": b} for a, b in map(strings.__getitem__, map(id, xs))]
+
         doc = {
             "n": self.n,
             "r": self.r,
@@ -355,9 +371,9 @@ class CertificationResult:
                     "cliques": [list(q) for q in c.family.cliques],
                     "delta": _rat(c.delta),
                     "alpha": _rat(c.alpha),
-                    "lambda": [_rat(w) for w in c.lam.weights],
-                    "mu": [_rat(w) for w in c.mu.weights],
-                    "mu_vertex_mass": [_rat(w) for w in c.mu_vertex_mass],
+                    "lambda": rats(c.lam.weights),
+                    "mu": rats(c.mu.weights),
+                    "mu_vertex_mass": rats(c.mu_vertex_mass),
                 }
                 for c in self.certificates
             ],
@@ -445,22 +461,15 @@ def certify(
     """Measure certificates for every target colour plus the derived bound.
 
     Raises NotEnabling when some vertex misses a required clique, ValueError
-    on malformed targets, and LemmaViolation when a guaranteed inequality
-    fails (which would falsify the underlying mathematics).
+    on malformed targets or an unknown policy, and LemmaViolation when a
+    guaranteed inequality fails (which would falsify the underlying maths).
     """
-    if policy == ALL_CLIQUES:  # every clique is listed, so they show the coverage
-        _check_targets(g, targets)
-        fams = [choose_family(g, colour, k, policy) for colour, k in targets]
-        first = next(((v, f.colour) for f in fams for v in range(g.n)
-                      if v not in f.covered), None)
-    else:  # the lexicographically smallest witnesses make the lex family
-        report = verify_enabling(g, targets)
-        first = report.first_failure
-        fams = (
-            _lex_family(colour, k, {v: report.witnesses[v, colour] for v in range(g.n)})
-            if policy == PER_VERTEX_LEX else choose_family(g, colour, k, policy)
-            for colour, k in targets
-        )
+    _check_targets(g, targets)
+    # One clique search per colour, in target order: the per-vertex-lex walk
+    # raises NotEnabling itself, and every clique listed shows the coverage.
+    fams = [choose_family(g, colour, k, policy) for colour, k in targets]
+    first = next(((v, f.colour) for f in fams for v in range(g.n)
+                  if v not in f.covered), None)
     if first is not None:
         v, c = first
         raise NotEnabling(f"vertex {v} lies in no size-{dict(targets)[c]} clique "

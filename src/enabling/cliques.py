@@ -4,8 +4,10 @@ Cliques are walked depth first over neighbourhood bitmasks, always extending
 by the smallest candidate, so they come in lexicographic order.  Witnesses
 take one such walk per colour, pruned to the vertices still uncovered: each
 vertex gets the first clique that contains it, its lexicographically
-smallest.  Both walks keep their own stack, so k is not bounded by Python's
-recursion limit.
+smallest.  That walk records each witness once, when it is first reached,
+so its list is already the per-vertex-lex family, sorted and distinct, and
+the witness report and the family are both read from it.  Both walks keep
+their own stack, so k is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from operator import and_, ge
 from typing import Mapping, Optional, Sequence
 
@@ -24,6 +27,7 @@ __all__ = [
     "PER_VERTEX_LEX",
     "CliqueFamily",
     "EnablingReport",
+    "NotEnabling",
     "choose_family",
     "enumerate_cliques",
     "find_clique_containing",
@@ -32,6 +36,10 @@ __all__ = [
 
 PER_VERTEX_LEX = "per-vertex-lex"
 ALL_CLIQUES = "all-cliques"
+
+
+class NotEnabling(ValueError):
+    """The graph does not put every vertex in the required cliques."""
 
 
 def _members(mask: int) -> list[int]:
@@ -46,8 +54,10 @@ def _members(mask: int) -> list[int]:
 
 def _lex_witnesses(
     adj: Sequence[int], n: int, k: int, wanted: int
-) -> list[tuple[int, ...] | None]:
-    """Each wanted vertex's lexicographically smallest size-k clique, or None.
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each wanted vertex's lexicographically smallest size-k clique: the
+    distinct ones in lexicographic order, and each vertex's index among them,
+    -1 for a vertex not wanted or in no such clique.
 
     One depth-first walk on its own stack, always extending by the smallest
     candidate, visits the cliques within the wanted vertices' closed
@@ -55,11 +65,13 @@ def _lex_witnesses(
     candidates, or whose chosen vertices and candidates hold no vertex of
     ``left``, the wanted vertices still without a witness.  As ``left`` only
     shrinks, each clique reached is the first one containing each vertex of
-    ``left`` in it: they take it as their witness and leave.
+    ``left`` in it: they take it as their witness and leave.  So every clique
+    recorded is new, and the list comes out sorted.
     """
     if k < 1:
         raise ValueError(f"clique size must be positive, got {k}")
-    out: list[tuple[int, ...] | None] = [None] * n
+    cliques: list[tuple[int, ...]] = []
+    index = [-1] * n
     closed = [a | 1 << v for v, a in enumerate(adj)]
     cand, left, mask, need = wanted, wanted, 0, k  # mask: the vertices of chosen
     for v in _members(wanted):
@@ -85,11 +97,11 @@ def _lex_witnesses(
             # pairwise adjacent: each closed neighbourhood holds them all.
             rest = _members(cand)
             if reduce(and_, map(closed.__getitem__, rest), cand) == cand:
-                clique = (*chosen, *rest)
                 hits = (mask | cand) & left
                 left ^= hits
                 for v in _members(hits):
-                    out[v] = clique
+                    index[v] = len(cliques)
+                cliques.append((*chosen, *rest))
                 if not left:
                     break
         if not stack:
@@ -97,7 +109,7 @@ def _lex_witnesses(
         cand = stack.pop()
         mask ^= 1 << chosen.pop()
         need += 1
-    return out
+    return cliques, index
 
 
 def find_clique_containing(
@@ -110,7 +122,8 @@ def find_clique_containing(
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return _lex_witnesses(g.adjacency(colour), g.n, k, 1 << v)[v]
+    cliques, _ = _lex_witnesses(g.adjacency(colour), g.n, k, 1 << v)
+    return cliques[0] if cliques else None
 
 
 def enumerate_cliques(
@@ -198,10 +211,12 @@ def verify_enabling(
     witnesses: dict[tuple[int, int], tuple[int, ...] | None] = {}
     first_failure = None
     for colour, k in targets:
-        found = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
-        witnesses.update(((v, colour), w) for v, w in enumerate(found))
-        if first_failure is None and None in found:
-            first_failure = (found.index(None), colour)
+        cliques, index = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
+        cliques.append(None)  # so index -1, a vertex in no clique, reads None
+        witnesses.update(zip(zip(range(g.n), repeat(colour)),
+                             map(cliques.__getitem__, index)))
+        if first_failure is None and -1 in index:
+            first_failure = (index.index(-1), colour)
     return EnablingReport(
         targets=tuple((c, k) for c, k in targets),
         ok=first_failure is None,
@@ -234,35 +249,24 @@ class CliqueFamily:
                 raise ValueError(f"vertex {v} not in its designated clique")
 
 
-def _lex_family(
-    colour: int, k: int, found: Mapping[int, tuple[int, ...]]
-) -> CliqueFamily:
-    """The per-vertex-lex family from each vertex's lexicographically smallest
-    clique: the distinct cliques in sorted order, each vertex designated its
-    own."""
-    cliques = tuple(sorted(set(found.values())))
-    index = {c: i for i, c in enumerate(cliques)}
-    return CliqueFamily(colour, k, cliques, {v: index[w] for v, w in found.items()})
-
-
 def choose_family(
     g: EdgeColouredGraph, colour: int, k: int, policy: str = PER_VERTEX_LEX
 ) -> CliqueFamily:
     """Build the clique family used by the measure computations.
 
     ``per-vertex-lex`` collects, for each vertex, the lexicographically
-    smallest size-k clique of the colour containing it (raising ValueError if
-    some vertex has none); ``all-cliques`` enumerates every size-k clique of
-    the colour.
+    smallest size-k clique of the colour containing it (raising NotEnabling
+    if some vertex has none); ``all-cliques`` enumerates every size-k clique
+    of the colour.
     """
     if policy == PER_VERTEX_LEX:
-        found = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
-        if None in found:
-            raise ValueError(
-                f"vertex {found.index(None)} lies in no size-{k} clique "
+        cliques, index = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
+        if -1 in index:
+            raise NotEnabling(
+                f"vertex {index.index(-1)} lies in no size-{k} clique "
                 f"of colour {colour}"
             )
-        return _lex_family(colour, k, dict(enumerate(found)))
+        return CliqueFamily(colour, k, tuple(cliques), dict(enumerate(index)))
     if policy == ALL_CLIQUES:
         cliques = tuple(enumerate_cliques(g, colour, k))
         covered = {}

@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enabling import certificates
+import enabling
+from enabling import certificates, cliques
 from enabling.certificates import (
     FamilyMeasure,
     LemmaViolation,
@@ -201,6 +206,57 @@ def test_support_clique_check_only_bites_above_half():
     assert not support_clique_check(g, 0, bad, F(3, 4))
 
 
+class _Support:
+    """A stand-in measure with a given support, empty included."""
+
+    def __init__(self, members):
+        self.members = tuple(members)
+
+    def support(self):
+        return self.members
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 3),
+    st.lists(st.integers(0, 2), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+    st.sets(st.integers(0, n - 1), max_size=n))))
+def test_support_clique_check_agrees_with_the_pairwise_clique_test(case):
+    n, r, cols, support = case
+    g = build(n, r, [c % r for c in cols])
+    members = sorted(support)
+    for colour in range(r):
+        expected = g.is_monochromatic_clique(members, colour)
+        assert support_clique_check(g, colour, _Support(members), F(2, 3)) == expected
+        if members:
+            lam = VertexMeasure(tuple(F(v in support, len(members)) for v in range(n)))
+            assert support_clique_check(g, colour, lam, F(3, 5)) == expected
+
+
+def test_support_clique_check_survives_optimisation_flag():
+    code = textwrap.dedent(
+        """
+        from fractions import Fraction as F
+        from enabling.certificates import VertexMeasure, support_clique_check
+        from enabling.constructions import p4_blowup
+
+        assert False, "asserts must be stripped in this run"
+        g = p4_blowup(4)
+        for weights in ((1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1)):
+            lam = VertexMeasure(tuple(F(w, sum(weights)) for w in weights))
+            print(support_clique_check(g, 0, lam, F(3, 4)))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(enabling.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.splitlines()
+    assert out == ["True", "False", "True"]
+
+
 def test_two_colour_bound_is_endpoint_maximum():
     # on the path graph both deltas are 1/2 and the bound is exactly n
     assert two_colour_bound(2, 2, F(1, 2), F(1, 2)) == 4
@@ -315,8 +371,8 @@ def test_recheck_catches_wrong_graph_size():
     ],
 )
 def test_certify_builds_the_per_vertex_lex_family_of_choose_family(g, targets):
-    # certify builds the family from verify_enabling's witnesses, not from a
-    # second clique search; the result must not depend on that.
+    # certify takes each family from choose_family, which builds it straight
+    # from one witness walk; the result must equal a separate call's.
     res = certify(g, targets, policy=PER_VERTEX_LEX)
     for cert, (colour, k) in zip(res.certificates, targets):
         fam = choose_family(g, colour, k, PER_VERTEX_LEX)
@@ -650,10 +706,70 @@ def test_certify_refuses_the_pair_verify_names_first_under_either_policy(data):
         assert str(exc.value) == f"vertex {v} lies in no size-{k} clique of colour {colour}"
 
 
+def test_certify_keeps_its_refusal_texts_and_their_order():
+    g = p4()  # colour 0 is the path 0-1-2-3, so no vertex is in a red triangle
+    text = "vertex 0 lies in no size-3 clique of colour 0"
+    for policy in (PER_VERTEX_LEX, ALL_CLIQUES):
+        with pytest.raises(NotEnabling) as exc:
+            certify(g, ((1, 2), (0, 3)), policy)
+        assert str(exc.value) == text
+    # The policy is refused before coverage is looked at, enabling or not.
+    for targets in (((0, 2), (1, 2)), ((1, 2), (0, 3))):
+        with pytest.raises(ValueError) as exc:
+            certify(g, targets, "no-such-policy")
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "unknown family policy 'no-such-policy'"
+    with pytest.raises(ValueError, match="appears twice"):  # targets come first
+        certify(g, ((0, 3), (0, 3)), "no-such-policy")
+
+
+def _reference_json(res):
+    """to_json with every rational converted by ``_rat`` entry by entry."""
+    doc = res.to_json_dict()
+    for entry, c in zip(doc["certificates"], res.certificates):
+        entry["delta"], entry["alpha"] = map(certificates._rat, (c.delta, c.alpha))
+        entry["lambda"] = [certificates._rat(w) for w in c.lam.weights]
+        entry["mu"] = [certificates._rat(w) for w in c.mu.weights]
+        entry["mu_vertex_mass"] = [certificates._rat(w) for w in c.mu_vertex_mass]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _serialisation_cases():
+    """The bench's CLI graphs under both policies, and three large extremal
+    graphs under per-vertex-lex."""
+    built = [(multicolour_blocks(r, k), tuple((c, k) for c in range(r)))
+             for r in range(2, 5) for k in range(2, 7)]
+    built += [(prime_slope(p), tuple((c, p) for c in range(p + 1))) for p in (2, 3, 5, 7)]
+    built += [(two_colour_extremal(a, b), ((0, a), (1, b)))
+              for a, b in integer_extremal_pairs(24)]
+    cases = [(g, t, policy) for g, t in built for policy in (ALL_CLIQUES, PER_VERTEX_LEX)]
+    return cases + [(two_colour_extremal(a, b), ((0, a), (1, b)), PER_VERTEX_LEX)
+                    for a, b in integer_extremal_pairs(200)[-3:]]
+
+
+def _rationals(doc):
+    return [d for c in doc["certificates"]
+            for d in (*c["lambda"], *c["mu"], *c["mu_vertex_mass"])]
+
+
+def test_serialisation_matches_the_per_entry_reference_and_shares_no_dict():
+    for g, targets, policy in _serialisation_cases():
+        res = certify(g, targets, policy)
+        assert res.to_json() == _reference_json(res)
+        doc, fresh = res.to_json_dict(), res.to_json_dict()
+        entries, expected = _rationals(doc), _rationals(fresh)
+        assert len(set(map(id, entries))) == len(entries)
+        for i in {0, len(entries) // 2, len(entries) - 1}:
+            entries[i]["num"] = "-7"  # one rational edited in place
+            assert [d["num"] for d in _rationals(doc)].count("-7") == 1
+            entries[i]["num"] = expected[i]["num"]
+            assert doc == fresh
+
+
 def test_all_cliques_certify_searches_each_colour_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(certificates, "verify_enabling",
-                        lambda *a: calls.append("verify"))
+    monkeypatch.setattr(cliques, "_lex_witnesses",
+                        lambda *a: calls.append("witness walk"))
     real = certificates.choose_family
     monkeypatch.setattr(certificates, "choose_family",
                         lambda *a: calls.append(a[1]) or real(*a))

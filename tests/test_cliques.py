@@ -9,12 +9,13 @@ from enabling.cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
     CliqueFamily,
+    _lex_witnesses,
     choose_family,
     enumerate_cliques,
     find_clique_containing,
     verify_enabling,
 )
-from enabling.constructions import prime_slope, two_colour_extremal
+from enabling.constructions import integer_extremal_pairs, prime_slope, two_colour_extremal
 from enabling.graphs import build, monochromatic_complete, pair_count, pair_index, pairs
 
 
@@ -281,3 +282,92 @@ def test_clique_size_beyond_the_recursion_limit():
     assert len(choose_family(g, 0, 1050, PER_VERTEX_LEX).cliques) == 51
     assert enumerate_cliques(g, 0, 1100) == [everyone]
     assert enumerate_cliques(g, 0, 1099)[-1] == everyone[1:]
+
+
+def reference_lex_witnesses(adj, n, k, wanted):
+    """The witness walk as it was before it returned the family: each wanted
+    vertex's lexicographically smallest size-k clique, or None."""
+    out = [None] * n
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    cand, left, mask, need = wanted, wanted, 0, k
+    for v in range(n):
+        if wanted >> v & 1:
+            cand |= adj[v]
+    chosen, stack = [], []
+    while True:
+        if not need:
+            cand = 0
+        size = cand.bit_count()
+        if size >= need and (mask | cand) & left:
+            if size > need:
+                low = cand & -cand
+                cand ^= low
+                stack.append(cand)
+                w = low.bit_length() - 1
+                chosen.append(w)
+                mask |= low
+                cand &= adj[w]
+                need -= 1
+                continue
+            rest = [v for v in range(n) if cand >> v & 1]
+            if all(closed[v] & cand == cand for v in rest):
+                clique = (*chosen, *rest)
+                hits = (mask | cand) & left
+                left ^= hits
+                for v in range(n):
+                    if hits >> v & 1:
+                        out[v] = clique
+                if not left:
+                    break
+        if not stack:
+            break
+        cand = stack.pop()
+        mask ^= 1 << chosen.pop()
+        need += 1
+    return out
+
+
+def reference_lex_family(colour, k, found):
+    """The per-vertex-lex family as it was built from the witnesses: their
+    distinct cliques sorted, each vertex designated its own."""
+    cliques = tuple(sorted(set(found.values())))
+    index = {c: i for i, c in enumerate(cliques)}
+    return CliqueFamily(colour, k, cliques, {v: index[w] for v, w in found.items()})
+
+
+def assert_walk_matches_reference(g, colour, k, wanted):
+    adj = g.adjacency(colour)
+    expected = reference_lex_witnesses(adj, g.n, k, wanted)
+    cliques, index = _lex_witnesses(adj, g.n, k, wanted)
+    assert [cliques[i] if i >= 0 else None for i in index] == expected
+    assert cliques == sorted({w for w in expected if w is not None})
+    assert all(index[v] == -1 for v in range(g.n) if not wanted >> v & 1)
+    if wanted != (1 << g.n) - 1:
+        return
+    report = verify_enabling(g, ((colour, k),))
+    assert list(report.witnesses.items()) == [((v, colour), w) for v, w in enumerate(expected)]
+    if None in expected:
+        assert report.first_failure == (expected.index(None), colour)
+        return
+    fam = choose_family(g, colour, k, PER_VERTEX_LEX)
+    ref = reference_lex_family(colour, k, dict(enumerate(expected)))
+    assert fam.cliques == ref.cliques and fam.covered == ref.covered
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graph_strategy(max_n=12), st.data())
+def test_walk_yields_the_family_of_the_reference_witnesses(drawn, data):
+    n, (r, colours) = drawn
+    g = build(n, r, colours)
+    colour = data.draw(st.integers(0, r - 1), label="colour")
+    k = data.draw(st.integers(1, 4), label="k")
+    wanted = data.draw(st.integers(0, (1 << n) - 1), label="wanted")
+    assert_walk_matches_reference(g, colour, k, wanted)
+    assert_walk_matches_reference(g, colour, k, (1 << n) - 1)
+
+
+def test_walk_yields_the_family_of_the_reference_witnesses_on_the_sweep():
+    for k1, k2 in integer_extremal_pairs(200):
+        g = relabelled(two_colour_extremal(k1, k2), 3)
+        assert_walk_matches_reference(g, 0, k1, (1 << g.n) - 1)
+        assert_walk_matches_reference(g, 1, k2, (1 << g.n) - 1)

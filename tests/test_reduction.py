@@ -1,6 +1,7 @@
 """compute_delta solves its LP on the colour-refinement quotient; these
 tests hold it to a full-size solve and to the full-size audit."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -232,3 +233,54 @@ def test_the_full_size_audit_survives_optimisation_flag():
         capture_output=True, text=True, timeout=60, check=True,
     ).stdout.splitlines()
     assert out == ["rejected: dual constraint violated"]
+
+
+def _reference_refine(n, cliques):
+    """Colour refinement with every round taken in full, the first two too:
+    the reference for the closed-form start of ``_refine``."""
+    member_of = [[] for _ in range(n)]
+    for i, c in enumerate(cliques):
+        for v in c:
+            member_of[v].append(i)
+    cells, counts = [[0] * len(cliques), [0] * n], [1, 1]
+    for step in itertools.count():
+        side = step % 2
+        other = cells[1 - side].__getitem__
+        ids: dict = {}
+        cells[side] = [
+            ids.setdefault((own, tuple(sorted(map(other, nbrs)))), len(ids))
+            for own, nbrs in zip(cells[side], member_of if side else cliques)
+        ]
+        if step and len(ids) == counts[side]:
+            return cells[1], cells[0]
+        counts[side] = len(ids)
+
+
+@st.composite
+def mixed_incidences(draw):
+    """Any vertex-clique incidence, with sets of mixed sizes in any order."""
+    n = draw(st.integers(1, 9))
+    sets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    return n, [tuple(sorted(c)) for c in draw(st.lists(sets, max_size=8))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(symmetric_families().map(lambda case: (case[0], case[1].cliques)),
+                 mixed_incidences()))
+def test_refinement_numbers_cells_as_the_all_rounds_reference(case):
+    n, cliques = case
+    assert certificates._refine(n, cliques) == _reference_refine(n, cliques)
+
+
+@pytest.mark.parametrize("n,cliques", [
+    (1, []),  # n = 1, and an empty family
+    (5, []),
+    (1, [(0,)]),  # one clique
+    (4, [(0, 2, 3)]),
+    (6, [(0, 1), (2, 3), (4, 5)]),  # every degree 1: the early return
+    (6, [(0, 1, 2), (3, 4, 5), (0, 3), (1, 4), (2, 5)]),  # degree 2, mixed sizes
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),  # a 5-cycle, degree 2
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # the path splits further
+])
+def test_refinement_edge_cases_match_the_reference(n, cliques):
+    assert certificates._refine(n, cliques) == _reference_refine(n, cliques)
