@@ -54,7 +54,7 @@ from .constructions import (
     two_colour_extremal,
 )
 from .graphs import EdgeColouredGraph, build, from_simple_graph, monochromatic_complete
-from .lp import AuditFailure, Infeasible, LPError, LPSolution, Unbounded, solve_lp_exact
+from .lp import AuditFailure, LPError, LPSolution, Unbounded, solve_lp_exact
 from .search import SearchReport, exists_enabling, min_n
 
 __version__ = "0.1.0"
@@ -70,7 +70,6 @@ __all__ = [
     "EdgeColouredGraph",
     "EnablingReport",
     "FamilyMeasure",
-    "Infeasible",
     "LPError",
     "LPSolution",
     "LemmaViolation",

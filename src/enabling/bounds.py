@@ -50,6 +50,16 @@ def two_colour_lower(k1: int, k2: int) -> int:
     return max(k1, k2, ceiling)
 
 
+def _sqrt_sum_squared(k1: int, k2: int) -> int | str:
+    """(sqrt(k1-1) + sqrt(k2-1))^2 as an int when it is one, else written
+    out as "a+b + 2*sqrt(ab)"."""
+    a, b = k1 - 1, k2 - 1
+    root = isqrt(a * b)
+    if root * root == a * b:
+        return a + b + 2 * root
+    return f"{a + b} + 2*sqrt({a * b})"
+
+
 def max_enabling_level(n: int) -> int:
     """Largest k such that some two-colouring of n vertices puts every vertex
     in a size-k clique of both colours; equals floor(n/4) + 1."""
@@ -138,13 +148,9 @@ def two_colour_report(k1: int, k2: int) -> BoundReport:
     if k1 < 1 or k2 < 1:
         raise ValueError(f"clique targets must be positive, got ({k1}, {k2})")
     lower = two_colour_lower(k1, k2)
-    prov: list[tuple[str, object]] = []
-    a, b = k1 - 1, k2 - 1
-    root = isqrt(4 * a * b)
-    if root * root == 4 * a * b:
-        prov.append(("sqrt_sum_squared", a + b + root))
-    else:
-        prov.append(("sqrt_sum_squared", f"{a + b} + 2*sqrt({a * b})"))
+    square = _sqrt_sum_squared(k1, k2)
+    prov: list[tuple[str, object]] = [("sqrt_sum_squared", square)]
+    if isinstance(square, str):
         prov.append(("sqrt_sum_ceiling", lower))
     if min(k1, k2) == 1:
         n = max(k1, k2)

@@ -39,7 +39,7 @@ from math import ceil, isqrt, lcm
 from operator import and_
 from typing import Iterable, Sequence
 
-from .bounds import LemmaViolation, f_max, two_colour_lower
+from .bounds import LemmaViolation, _sqrt_sum_squared, f_max, two_colour_lower
 from .cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
@@ -446,11 +446,7 @@ def _unrats(docs, memo: dict) -> list[Fraction]:
 def _universal(k1: int, k2: int) -> tuple[int, str]:
     """The closed-form two-colour lower bound, and (sqrt(k1-1) + sqrt(k2-1))^2
     written out, as an integer when it is one."""
-    a, b = k1 - 1, k2 - 1
-    root = isqrt(a * b)
-    square = root * root == a * b
-    form = str(a + b + 2 * root) if square else f"{a + b} + 2*sqrt({a * b})"
-    return two_colour_lower(k1, k2), form
+    return two_colour_lower(k1, k2), str(_sqrt_sum_squared(k1, k2))
 
 
 def certify(

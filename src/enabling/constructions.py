@@ -99,19 +99,18 @@ def two_colour_extremal(k1: int, k2: int) -> EdgeColouredGraph:
 def integer_extremal_pairs(n_max: int) -> list[tuple[int, int]]:
     """Ordered pairs (k1, k2), both >= 2, whose extremal vertex count
     (sqrt(k1-1)+sqrt(k2-1))^2 is an integer at most n_max."""
-    out = []
+    found = []
     for k1 in range(2, n_max + 1):
         for k2 in range(2, n_max + 1):
-            s = k1 - 1 + k2 - 1
             prod = (k1 - 1) * (k2 - 1)
             root = isqrt(prod)
             if root * root != prod:
                 continue
-            n = s + 2 * root
+            n = k1 + k2 - 2 + 2 * root
             if n <= n_max:
-                out.append((k1, k2))
-    out.sort(key=lambda kk: (kk[0] + kk[1] - 2 + 2 * isqrt((kk[0] - 1) * (kk[1] - 1)), kk))
-    return out
+                found.append((n, k1, k2))
+    found.sort()
+    return [(k1, k2) for _, k1, k2 in found]
 
 
 def multicolour_blocks(r: int, k: int) -> EdgeColouredGraph:

@@ -1,11 +1,14 @@
 """Exact linear programming over the rationals.
 
-A two-phase tableau simplex with Bland's pivot rule (smallest eligible
-index, ties by smallest basic variable), which terminates on degenerate
-problems.  The tableau is sparse and fraction-free: each row, and the
-objective row, is a dict of its nonzero integer numerators over its own
-positive denominator in lowest terms, and a pivot touches only the nonzeros
-of the rows with a nonzero in the pivot column.  Nothing is rounded.
+Maximises a linear objective over {x >= 0 : rows . x <= rhs} with every
+rhs >= 0.  That is the packing shape of the clique-measure LP: x = 0 is
+feasible, so the all-slack basis starts a single run of the tableau simplex
+with Bland's pivot rule (smallest eligible index, ties by smallest basic
+variable), which terminates on degenerate problems.  The tableau is sparse
+and fraction-free: each row, and the objective row, is a dict of its nonzero
+integer numerators over its own positive denominator in lowest terms, and a
+pivot touches only the nonzeros of the rows with a nonzero in the pivot
+column.  Nothing is rounded.
 
 Every solve re-checks its own answer against the input rows, never the
 tableau: ``_certify_optimal`` verifies primal feasibility, dual signs, dual
@@ -22,11 +25,8 @@ from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 __all__ = [
-    "EQ",
-    "GE",
     "LE",
     "AuditFailure",
-    "Infeasible",
     "LPError",
     "LPSolution",
     "Unbounded",
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 LE = "<="
-GE = ">="
-EQ = "=="
-
-_RELATIONS = (LE, GE, EQ)
 
 # Running tally of solves and of solves whose primal/dual pair passed the
 # independent optimality audit.  The two counts must always agree.
@@ -46,10 +42,6 @@ SOLVE_STATS = {"solves": 0, "certified": 0}
 
 class LPError(Exception):
     """Base class for solver failures."""
-
-
-class Infeasible(LPError):
-    """The constraint system admits no nonnegative solution."""
 
 
 class Unbounded(LPError):
@@ -64,9 +56,8 @@ class AuditFailure(LPError):
 class LPSolution:
     """An optimal vertex together with matching dual multipliers.
 
-    ``value == objective . primal == sum(dual[i] * rhs[i])`` holds exactly.
-    For a maximisation problem the duals satisfy y >= 0 on <= rows and
-    y <= 0 on >= rows; for minimisation the signs are reversed.
+    ``value == objective . primal == sum(dual[i] * rhs[i])`` holds exactly,
+    and every dual is >= 0.
     """
 
     value: Fraction
@@ -80,7 +71,7 @@ Constraint = tuple[Sequence, str, object]
 class _Problem(NamedTuple):
     """A maximisation problem scaled to integers.
 
-    Row i reads ``rows[i] . x  rels[i]  rhs[i]``: the given row times
+    Row i reads ``rows[i] . x <= rhs[i]``: the given row times
     ``den[i] > 0``, with only its nonzero coefficients stored.  The given
     objective is ``c / c_den``.
     """
@@ -88,7 +79,6 @@ class _Problem(NamedTuple):
     c: list[int]
     c_den: int
     rows: list[dict[int, int]]
-    rels: list[str]
     rhs: list[int]
     den: list[int]
 
@@ -102,25 +92,20 @@ def _scale(values: Sequence, den: int) -> list[int]:
     return [a.numerator * (den // a.denominator) for a in values]
 
 
-def solve_lp_exact(
-    objective: Sequence, constraints: Sequence[Constraint], maximize: bool = True
-) -> LPSolution:
-    """Optimise a linear objective over {x >= 0 : constraints} exactly.
+def solve_lp_exact(objective: Sequence, constraints: Sequence[Constraint]) -> LPSolution:
+    """Maximise a linear objective over {x >= 0 : constraints} exactly.
 
-    Each constraint is a triple (coefficients, relation, rhs) with relation
-    one of "<=", ">=", "==".  Raises Infeasible or Unbounded as appropriate,
-    and AuditFailure if the answer fails its own optimality audit.
+    Each constraint is a triple (coefficients, "<=", rhs) with rhs >= 0;
+    any other relation, or a negative rhs, raises ValueError.  Raises
+    Unbounded as appropriate, and AuditFailure if the answer fails its own
+    optimality audit.
     """
     c = [_rational(x) for x in objective]
-    if not maximize:
-        sol = solve_lp_exact([-x for x in c], constraints, maximize=True)
-        return LPSolution(-sol.value, sol.primal, tuple(-y for y in sol.dual))
-
     problem = _integerise(c, constraints)
     x, y = _simplex(problem)
     value = sum((a * xi for a, xi in zip(c, x) if a), Fraction(0))
-    # An infeasible or unbounded run raises above and is not a solve; any
-    # completed solve must certify, so the two counters stay equal.
+    # An unbounded run raises above and is not a solve; any completed solve
+    # must certify, so the two counters stay equal.
     SOLVE_STATS["solves"] += 1
     _certify_optimal(problem, x, y, value)
     SOLVE_STATS["certified"] += 1
@@ -133,7 +118,6 @@ def _integerise(c: list[int | Fraction], constraints: Sequence[Constraint]) -> _
     nvars = len(c)
     c_den = lcm(*(a.denominator for a in c))
     rows: list[dict[int, int]] = []
-    rels: list[str] = []
     rhs: list[int] = []
     dens: list[int] = []
     for coeffs, rel, b in constraints:
@@ -145,16 +129,17 @@ def _integerise(c: list[int | Fraction], constraints: Sequence[Constraint]) -> _
             raise ValueError(
                 f"constraint has {len(coeffs)} coefficients, expected {nvars}"
             )
-        if rel not in _RELATIONS:
-            raise ValueError(f"unknown relation {rel!r}")
-        row = {j: a for j, a in enumerate(coeffs) if a}
+        if rel != LE:
+            raise ValueError(f"unsupported relation {rel!r}: every row must be {LE!r}")
         b = _rational(b)
+        if b < 0:
+            raise ValueError(f"right-hand side {b} is negative: every rhs must be >= 0")
+        row = {j: a for j, a in enumerate(coeffs) if a}
         den = lcm(b.denominator, *(a.denominator for a in row.values()))
         rows.append({j: a.numerator * (den // a.denominator) for j, a in row.items()})
-        rels.append(rel)
         rhs.append(b.numerator * (den // b.denominator))
         dens.append(den)
-    return _Problem(_scale(c, c_den), c_den, rows, rels, rhs, dens)
+    return _Problem(_scale(c, c_den), c_den, rows, rhs, dens)
 
 
 def _simplex(problem: _Problem) -> tuple[list[Fraction], list[Fraction]]:
@@ -162,67 +147,21 @@ def _simplex(problem: _Problem) -> tuple[list[Fraction], list[Fraction]]:
     nvars = len(c)
     m = len(problem.rows)
 
-    # Flip rows with negative rhs so the all-slack start is feasible; the
-    # flip and the integer scaling are undone on the duals at extraction.
-    sign = [-1 if b < 0 else 1 for b in problem.rhs]
-    row_rel = [
-        {LE: GE, GE: LE, EQ: EQ}[rel] if s < 0 else rel
-        for rel, s in zip(problem.rels, sign)
-    ]
-
-    # Column layout: structural, slack/surplus, artificial, rhs.
-    slack_col = [-1] * m
-    art_col = [-1] * m
-    next_col = nvars
-    for i in range(m):
-        if row_rel[i] in (LE, GE):
-            slack_col[i] = next_col
-            next_col += 1
-    for i in range(m):
-        if row_rel[i] in (GE, EQ):
-            art_col[i] = next_col
-            next_col += 1
-    rhs_col = next_col
-
+    # Column layout: structural, one slack per row, rhs.  Every rhs is >= 0,
+    # so the slacks form a feasible starting basis and the objective row
+    # starts as -c.
+    rhs_col = nvars + m
     tab: list[dict[int, int]] = []
-    basis: list[int] = []
-    for i, s in enumerate(sign):
-        row = {j: s * a for j, a in problem.rows[i].items()}
-        if problem.rhs[i]:
-            row[rhs_col] = s * problem.rhs[i]
-        if slack_col[i] >= 0:
-            row[slack_col[i]] = 1 if row_rel[i] == LE else -1
-        if art_col[i] >= 0:
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
-        else:
-            basis.append(slack_col[i])
+    for i, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
+        row = dict(row)
+        if b:
+            row[rhs_col] = b
+        row[nvars + i] = 1
         tab.append(row)
+    zrow = {j: -cj for j, cj in enumerate(c) if cj}
+    state = _Tableau(tab, list(range(nvars, rhs_col)), rhs_col, zrow)
 
-    state = _Tableau(tab, basis, rhs_col)
-    artificials = frozenset(col for col in art_col if col >= 0)
-
-    if artificials:
-        _phase_one(state, artificials)
-
-    # Live rows may have shrunk (redundant rows get dropped in phase one).
-    costed = [
-        (c[state.basis[i]], row, den)
-        for i, (row, den) in enumerate(zip(state.rows, state.dens))
-        if state.basis[i] < nvars and c[state.basis[i]]
-    ]
-    zden = lcm(*(den for _, _, den in costed))
-    z: dict[int, int] = {}
-    for cb, row, den in costed:
-        f = cb * (zden // den)
-        for j, a in row.items():
-            z[j] = z.get(j, 0) + f * a
-    for j, cj in enumerate(c):
-        if cj:
-            z[j] = z.get(j, 0) - zden * cj
-    state.zrow, state.zden = _reduce({j: a for j, a in z.items() if a}, zden)
-
-    _bland_loop(state, banned=artificials)
+    _bland_loop(state)
 
     # Primal values of the structural variables.
     x = [Fraction(0)] * nvars
@@ -230,17 +169,13 @@ def _simplex(problem: _Problem) -> tuple[list[Fraction], list[Fraction]]:
         if state.basis[i] < nvars:
             x[state.basis[i]] = Fraction(row.get(rhs_col, 0), state.dens[i])
 
-    # Dual of row i is the reduced cost at its identity column, mapped back
+    # Dual of row i is the reduced cost at its slack column, mapped back
     # through the row scaling and the objective scaling.
-    y = [Fraction(0)] * m
-    for i in range(m):
-        if i in state.dropped:
-            continue
-        col = art_col[i] if art_col[i] >= 0 else slack_col[i]
-        y[i] = Fraction(
-            state.zrow.get(col, 0) * sign[i] * problem.den[i],
-            state.zden * problem.c_den,
-        )
+    y = [
+        Fraction(state.zrow.get(nvars + i, 0) * problem.den[i],
+                 state.zden * problem.c_den)
+        for i in range(m)
+    ]
     return x, y
 
 
@@ -271,26 +206,27 @@ def _eliminate(
 
 
 class _Tableau:
-    """Sparse integer rows, each over its own positive denominator."""
+    """Sparse integer rows, each over its own positive denominator, and the
+    objective row over its own."""
 
-    def __init__(self, rows: list[dict[int, int]], basis: list[int], rhs_col: int):
+    def __init__(
+        self, rows: list[dict[int, int]], basis: list[int], rhs_col: int,
+        zrow: dict[int, int],
+    ):
         self.rows = rows
         self.dens = [1] * len(rows)
         self.basis = basis
         self.rhs_col = rhs_col
-        self.zrow: dict[int, int] | None = None
+        self.zrow = zrow
         self.zden = 1
-        self.dropped: set[int] = set()
-        self.row_ids = list(range(len(rows)))
 
     def pivot(self, r: int, col: int) -> None:
         prow = self.rows[r]
         p = prow.get(col, 0)
-        if p == 0:
-            raise LPError("zero pivot element")
-        if p < 0:
-            prow = {j: -a for j, a in prow.items()}
-            p = -p
+        # The ratio test only picks positive entries, and every row
+        # denominator is positive.
+        if p <= 0:
+            raise LPError("pivot element is not positive")
         # The pivot row divided by its entry: numerators over p.
         prow, p = _reduce(prow, p)
         self.rows[r] = prow
@@ -299,19 +235,10 @@ class _Tableau:
             f = row.get(col)
             if f and i != r:
                 self.rows[i], self.dens[i] = _eliminate(row, self.dens[i], prow, p, f)
-        z = self.zrow
-        if z:
-            f = z.get(col)
-            if f:
-                self.zrow, self.zden = _eliminate(z, self.zden, prow, p, f)
+        f = self.zrow.get(col)
+        if f:
+            self.zrow, self.zden = _eliminate(self.zrow, self.zden, prow, p, f)
         self.basis[r] = col
-
-    def drop(self, i: int) -> None:
-        self.dropped.add(self.row_ids[i])
-        del self.rows[i]
-        del self.dens[i]
-        del self.basis[i]
-        del self.row_ids[i]
 
 
 def _choose_row(state: _Tableau, col: int) -> int | None:
@@ -334,14 +261,11 @@ def _choose_row(state: _Tableau, col: int) -> int | None:
     return None if best is None else best[0]
 
 
-def _bland_loop(state: _Tableau, banned: frozenset[int]) -> None:
+def _bland_loop(state: _Tableau) -> None:
     limit = 20000 + 200 * (len(state.rows) + state.rhs_col)
     rc = state.rhs_col
     for _ in range(limit):
-        enter = min(
-            (j for j, a in state.zrow.items() if a < 0 and j < rc and j not in banned),
-            default=-1,
-        )
+        enter = min((j for j, a in state.zrow.items() if a < 0 and j < rc), default=-1)
         if enter < 0:
             return
         leave = _choose_row(state, enter)
@@ -351,50 +275,10 @@ def _bland_loop(state: _Tableau, banned: frozenset[int]) -> None:
     raise LPError("pivot limit exceeded")
 
 
-def _phase_one(state: _Tableau, artificials: frozenset[int]) -> None:
-    """Drive the artificial variables to zero, or report infeasibility."""
-    # Every row is still over denominator 1 here.
-    z: dict[int, int] = {j: 1 for j in artificials}
-    for i, b in enumerate(state.basis):
-        if b in artificials:
-            for j, a in state.rows[i].items():
-                z[j] = z.get(j, 0) - a
-    state.zrow = {j: a for j, a in z.items() if a}
-
-    # Artificial columns never re-enter: whenever the system is feasible it
-    # has an optimum with every artificial at zero, so restricting the
-    # entering choice to real columns still drives the phase-one objective
-    # to zero exactly when feasibility holds.
-    try:
-        _bland_loop(state, banned=artificials)
-    except Unbounded:
-        raise LPError("phase one unbounded; this cannot happen") from None
-
-    rc = state.rhs_col
-    for i, b in enumerate(state.basis):
-        if b in artificials and state.rows[i].get(rc, 0) > 0:
-            raise Infeasible("artificial variable stuck at a positive value")
-
-    # Degenerate artificials still in the basis: pivot them out on any live
-    # column, or drop the row as redundant.  The phase-one objective is done.
-    state.zrow = None
-    for i in range(len(state.rows) - 1, -1, -1):
-        if state.basis[i] not in artificials:
-            continue
-        col = min(
-            (j for j in state.rows[i] if j < rc and j not in artificials),
-            default=-1,
-        )
-        if col >= 0:
-            state.pivot(i, col)
-        else:
-            state.drop(i)
-
-
 def _certify_optimal(
     problem: _Problem, x: list[Fraction], y: list[Fraction], value: Fraction
 ) -> None:
-    """Independent optimality proof for a maximisation problem.
+    """Independent optimality proof for the maximisation problem.
 
     Primal feasibility, dual signs, dual feasibility and strong duality
     together certify optimality of both solutions.  x is put over one
@@ -408,15 +292,11 @@ def _certify_optimal(
     xn = _scale(x, xden)
     if any(xi < 0 for xi in xn):
         raise AuditFailure("primal variable went negative")
-    for row, rel, b in zip(problem.rows, problem.rels, problem.rhs):
-        slack = b * xden - sum(a * xn[j] for j, a in row.items())
-        ok = slack >= 0 if rel == LE else slack <= 0 if rel == GE else slack == 0
-        if not ok:
-            raise AuditFailure(f"primal constraint violated on a {rel} row")
-
-    for yi, rel in zip(y, problem.rels):
-        if (rel == LE and yi < 0) or (rel == GE and yi > 0):
-            raise AuditFailure(f"dual sign violated on a {rel} row")
+    for row, b in zip(problem.rows, problem.rhs):
+        if sum(a * xn[j] for j, a in row.items()) > b * xden:
+            raise AuditFailure(f"primal constraint violated on a {LE} row")
+    if any(yi < 0 for yi in y):
+        raise AuditFailure(f"dual sign violated on a {LE} row")
 
     # Row i is the given row times den[i], so its dual is y[i] / den[i].
     w = [Fraction(yi.numerator, yi.denominator * d) for yi, d in zip(y, problem.den)]

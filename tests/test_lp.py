@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import enabling.lp as lp
-from enabling.lp import EQ, GE, LE, AuditFailure, Infeasible, Unbounded, solve_lp_exact
+from enabling.lp import LE, AuditFailure, Unbounded, solve_lp_exact
 
 
 # --- oracle: enumerate basic feasible points of a pointed region -------------
@@ -49,18 +49,8 @@ def brute_lp_max(objective, constraints):
         x = _solve_square([planes[i][0] for i in combo], [planes[i][1] for i in combo])
         if x is None or any(v < 0 for v in x):
             continue
-        ok = True
-        for a, rel, b in constraints:
-            lhs = sum(F(ai) * xi for ai, xi in zip(a, x))
-            if rel == LE and lhs > F(b):
-                ok = False
-            elif rel == GE and lhs < F(b):
-                ok = False
-            elif rel == EQ and lhs != F(b):
-                ok = False
-            if not ok:
-                break
-        if not ok:
+        if any(sum(F(ai) * xi for ai, xi in zip(a, x)) > F(b)
+               for a, _, b in constraints):
             continue
         val = sum(F(c) * xi for c, xi in zip(objective, x))
         if best is None or val > best:
@@ -77,23 +67,6 @@ def test_textbook_two_variable_maximum():
     assert sol.primal == (F(8, 5), F(6, 5))
 
 
-def test_equality_row_and_minimisation():
-    sol = solve_lp_exact(
-        [2, 3], [([1, 1], EQ, 3), ([1, 0], LE, 2)], maximize=False
-    )
-    assert sol.value == 7
-    assert sol.primal == (F(2), F(1))
-
-
-def test_ge_rows_need_phase_one():
-    sol = solve_lp_exact(
-        [1, 2],
-        [([1, 1], GE, 2), ([1, 1], LE, 5), ([0, 1], LE, 3)],
-    )
-    assert sol.value == 8
-    assert sol.primal == (F(2), F(3))
-
-
 def test_beale_degenerate_instance_terminates():
     # classic cycling example; Bland's rule must reach the optimum
     sol = solve_lp_exact(
@@ -108,11 +81,6 @@ def test_beale_degenerate_instance_terminates():
     assert sol.primal == (F(1, 25), F(0), F(1), F(0))
 
 
-def test_infeasible_system_raises():
-    with pytest.raises(Infeasible):
-        solve_lp_exact([1], [([1], LE, 1), ([1], GE, 2)])
-
-
 def test_unbounded_objective_raises():
     with pytest.raises(Unbounded):
         solve_lp_exact([1, 0], [([-1, 1], LE, 1)])
@@ -123,13 +91,6 @@ def test_zero_rhs_start_is_fine():
     assert sol.value == 0
 
 
-def test_negative_rhs_rows_are_flipped():
-    # -x <= -2 is x >= 2
-    sol = solve_lp_exact([-1], [([-1], LE, -2)], maximize=True)
-    assert sol.value == -2
-    assert sol.primal == (F(2),)
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         solve_lp_exact([1, 1], [([1], LE, 0)])
@@ -137,25 +98,42 @@ def test_input_validation():
         solve_lp_exact([1], [([1], "<", 0)])
 
 
+REFUSED = [
+    ([([1], ">=", 1)], "unsupported relation '>='"),
+    ([([1], "==", 1)], "unsupported relation '=='"),
+    ([([1], LE, -2)], "right-hand side -2 is negative"),
+    # A refused row after a valid one still refuses the whole problem.
+    ([([1], LE, 1), ([1], LE, F(-1, 2))], "right-hand side -1/2 is negative"),
+]
+
+
+@pytest.mark.parametrize("constraints, match", REFUSED)
+def test_rows_outside_the_packing_shape_are_refused(constraints, match):
+    before = dict(lp.SOLVE_STATS)
+    with pytest.raises(ValueError, match=match):
+        solve_lp_exact([1], constraints)
+    assert lp.SOLVE_STATS == before
+
+
+def test_there_is_no_minimise_switch():
+    before = dict(lp.SOLVE_STATS)
+    with pytest.raises(TypeError):
+        solve_lp_exact([1], [([1], LE, 1)], maximize=False)
+    assert lp.SOLVE_STATS == before
+
+
 def test_duals_satisfy_signs_and_strong_duality():
-    cons = [([1, 2], LE, 4), ([3, 1], LE, 6), ([1, 1], GE, 1)]
+    # The third row is slack at the optimum, so its dual is zero.
+    cons = [([1, 2], LE, 4), ([3, 1], LE, 6), ([1, 1], LE, 3)]
     sol = solve_lp_exact([1, 1], cons)
-    assert sol.dual[0] >= 0 and sol.dual[1] >= 0 and sol.dual[2] <= 0
+    assert sol.dual[0] > 0 and sol.dual[1] > 0 and sol.dual[2] == 0
     assert sum(y * F(b) for y, (_, _, b) in zip(sol.dual, cons)) == sol.value
-
-
-def test_minimisation_flips_dual_signs():
-    cons = [([1], GE, 3)]
-    sol = solve_lp_exact([1], cons, maximize=False)
-    assert sol.value == 3
-    assert sol.dual[0] >= 0
-    assert sol.dual[0] * 3 == sol.value
 
 
 def test_solve_stats_count_each_solve_once():
     before = dict(lp.SOLVE_STATS)
     solve_lp_exact([1], [([1], LE, 5)])
-    solve_lp_exact([1], [([1], GE, 2), ([1], LE, 9)], maximize=False)
+    solve_lp_exact([F(1, 2), 1], [([1, 1], LE, 9), ([1, 0], LE, 2)])
     after = lp.SOLVE_STATS
     assert after["solves"] == before["solves"] + 2
     assert after["certified"] == after["solves"]
@@ -179,80 +157,27 @@ def _random_bounded_lp(rng, nv):
     return obj, rows
 
 
-def test_random_le_systems_match_oracle():
-    rng = random.Random(20260814)
-    for _ in range(120):
-        nv = rng.randint(1, 3)
-        obj, rows = _random_bounded_lp(rng, nv)
-        expected, _ = brute_lp_max(obj, rows)
-        sol = solve_lp_exact(obj, rows)
-        assert sol.value == expected
-
-
 def _assert_duals_optimal(objective, constraints, sol):
     """Dual signs, dual feasibility and strong duality, in Fractions."""
-    for y, (_, rel, _) in zip(sol.dual, constraints):
-        assert not (rel == LE and y < 0) and not (rel == GE and y > 0)
+    assert all(y >= 0 for y in sol.dual)
     for j, c in enumerate(objective):
         assert sum(y * F(a[j]) for y, (a, _, _) in zip(sol.dual, constraints)) >= c
     assert sum(y * F(b) for y, (_, _, b) in zip(sol.dual, constraints)) == sol.value
 
 
-def _phase_one_instances():
-    """Redundant equality rows, which phase one drops, and degenerate
-    vertices, where several rows meet at the optimum."""
-    # The second and third rows repeat the first, scaled, one by Fractions.
-    yield [1, 2, 0], [
-        ([1, 1, 1], EQ, 3),
-        ([2, 2, 2], EQ, 6),
-        ([F(1, 2), F(1, 2), F(1, 2)], EQ, F(3, 2)),
-        ([1, 0, 0], GE, 1),
+def test_random_le_systems_match_oracle():
+    # Four rows through the optimum (1, 1) of a two-variable problem: a
+    # degenerate vertex, ahead of the random instances.
+    instances = [
+        ([1, 1], [([1, -1], LE, 0), ([1, 1], LE, 2), ([1, 0], LE, 1),
+                  ([2, -1], LE, 1)]),
     ]
-    # x0 - x1 == 0 with x0 + x1 == 2 makes 2*x0 == 2 redundant; rhs 0 rows
-    # start phase one at a degenerate vertex.
-    yield [3, 1], [([1, -1], EQ, 0), ([1, 1], EQ, 2), ([2, 0], EQ, 2), ([1, 0], LE, 5)]
-    # Four rows through the optimum (1, 1) of a two-variable problem.
-    yield [1, 1], [
-        ([1, -1], LE, 0),
-        ([1, 1], LE, 2),
-        ([1, 0], LE, 1),
-        ([2, -1], LE, 1),
-        ([0, 1], GE, 0),
-    ]
-    # Degenerate equality at the origin plus a redundant copy of it.
-    yield [1, -1, 1], [
-        ([1, -1, 0], EQ, 0),
-        ([-3, 3, 0], EQ, 0),
-        ([1, 1, 1], LE, 4),
-        ([0, 0, 1], GE, 0),
-    ]
-
-
-def test_random_mixed_relation_systems_match_oracle():
-    rng = random.Random(977)
-    instances = list(_phase_one_instances())
+    rng = random.Random(20260814)
     for _ in range(120):
-        nv = rng.randint(1, 3)
-        # build around a known feasible nonnegative point so phase 1 matters
-        x0 = [F(rng.randint(0, 3)) for _ in range(nv)]
-        rows = []
-        for _ in range(rng.randint(1, 4)):
-            a = [rng.randint(-3, 3) for _ in range(nv)]
-            lhs = sum(F(ai) * xi for ai, xi in zip(a, x0))
-            rel = rng.choice([LE, GE, EQ])
-            if rel == LE:
-                rows.append((a, rel, lhs + rng.randint(0, 4)))
-            elif rel == GE:
-                rows.append((a, rel, lhs - rng.randint(0, 4)))
-            else:
-                rows.append((a, rel, lhs))
-        rows.append(([1] * nv, LE, sum(x0) + rng.randint(0, 5)))
-        obj = [rng.randint(-4, 4) for _ in range(nv)]
-        instances.append((obj, rows))
+        instances.append(_random_bounded_lp(rng, rng.randint(1, 3)))
     for obj, rows in instances:
         expected, _ = brute_lp_max(obj, rows)
         sol = solve_lp_exact(obj, rows)
-        assert expected is not None
         assert sol.value == expected
         _assert_duals_optimal(obj, rows, sol)
 
@@ -260,12 +185,13 @@ def test_random_mixed_relation_systems_match_oracle():
 # --- the optimality audit rejects every wrong answer --------------------------
 
 # Fraction coefficients and right-hand sides, as the mu LP has, so the audit's
-# row scaling is exercised.  Optimum x = (2, 3/2), y = (4/3, 0, 1/3), 7/2.
+# row scaling is exercised.  The middle row is slack at the optimum
+# x = (2, 3/2), y = (4/3, 0, 1/3), value 7/2.
 AUDIT_OBJECTIVE = [1, 1]
 AUDIT_ROWS = [
     ([F(1, 2), 1], LE, F(5, 2)),
-    ([1, F(1, 3)], GE, F(1, 3)),
-    ([1, -1], EQ, F(1, 2)),
+    ([1, F(1, 3)], LE, F(10, 3)),
+    ([1, -1], LE, F(1, 2)),
 ]
 AUDIT_X = [F(2), F(3, 2)]
 AUDIT_Y = [F(4, 3), F(0), F(1, 3)]
@@ -287,11 +213,12 @@ def test_audit_accepts_the_optimum():
 AUDIT_CASES = [
     ([F(-1), F(3, 2)], AUDIT_Y, AUDIT_VALUE, "primal variable went negative"),
     ([F(5), F(5)], AUDIT_Y, AUDIT_VALUE, "violated on a <= row"),
-    ([F(0), F(0)], AUDIT_Y, AUDIT_VALUE, "violated on a >= row"),
-    ([F(1), F(0)], AUDIT_Y, AUDIT_VALUE, "violated on a == row"),
+    # over the first row by a hair, and over the last row alone
+    ([F(2), F(3, 2) + F(1, 10**9)], AUDIT_Y, AUDIT_VALUE, "violated on a <= row"),
+    ([F(3), F(0)], AUDIT_Y, AUDIT_VALUE, "violated on a <= row"),
     (AUDIT_X, [F(-1), F(0), F(1, 3)], AUDIT_VALUE, "dual sign violated on a <= row"),
-    (AUDIT_X, [F(4, 3), F(1, 7), F(1, 3)], AUDIT_VALUE,
-     "dual sign violated on a >= row"),
+    (AUDIT_X, [F(4, 3), F(-1, 7), F(1, 3)], AUDIT_VALUE,
+     "dual sign violated on a <= row"),
     (AUDIT_X, [F(0), F(0), F(0)], AUDIT_VALUE, "dual constraint violated"),
     (AUDIT_X, [F(4, 3), F(0), F(1, 3) - F(1, 10**9)], AUDIT_VALUE,
      "dual constraint violated"),

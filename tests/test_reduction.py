@@ -141,7 +141,7 @@ def _full_lp_audit(n, cliques, lam, delta, duals, mass_dual):
     rows = [{**dict.fromkeys(c, -1), n: 1} for c in cliques]
     rows.append(dict.fromkeys(range(n), 1))
     ones = [1] * (m + 1)
-    full = lp._Problem([0] * n + [1], 1, rows, [LE] * (m + 1), [0] * m + [1], ones)
+    full = lp._Problem([0] * n + [1], 1, rows, [0] * m + [1], ones)
     lp._certify_optimal(full, lam + [delta], duals + [mass_dual], delta)
 
 
