@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Sequence
 
-from .constructions import _extremal_parts, _is_prime
+from .constructions import _ceil_two_sqrt, _extremal_parts, _is_prime
 
 __all__ = [
     "BoundReport",
@@ -38,26 +37,22 @@ def two_colour_lower(k1: int, k2: int) -> int:
     """Least integer n compatible with n >= (sqrt(k1-1) + sqrt(k2-1))^2 and
     with containing a clique of each target size.
 
-    The radicand comparison is done on squared integers, so the ceiling is
-    exact for all inputs.  The clique-size floor max(k1, k2) only binds when
+    The ceiling of 2*sqrt((k1-1)(k2-1)) is taken on integers, so it is exact
+    for all inputs.  The clique-size floor max(k1, k2) only binds when
     one target is 1.
     """
     if k1 < 1 or k2 < 1:
         raise ValueError(f"clique targets must be positive, got ({k1}, {k2})")
-    a, b = k1 - 1, k2 - 1
-    root = isqrt(4 * a * b)
-    ceiling = a + b + root if root * root == 4 * a * b else a + b + root + 1
-    return max(k1, k2, ceiling)
+    t, _ = _ceil_two_sqrt(k1 - 1, k2 - 1)
+    return max(k1, k2, k1 + k2 - 2 + t)
 
 
 def _sqrt_sum_squared(k1: int, k2: int) -> int | str:
     """(sqrt(k1-1) + sqrt(k2-1))^2 as an int when it is one, else written
     out as "a+b + 2*sqrt(ab)"."""
     a, b = k1 - 1, k2 - 1
-    root = isqrt(a * b)
-    if root * root == a * b:
-        return a + b + 2 * root
-    return f"{a + b} + 2*sqrt({a * b})"
+    t, exact = _ceil_two_sqrt(a, b)
+    return a + b + t if exact else f"{a + b} + 2*sqrt({a * b})"
 
 
 def max_enabling_level(n: int) -> int:
@@ -171,7 +166,6 @@ def multicolour_report(r: int, k: int) -> BoundReport:
     prov: list[tuple[str, object]] = [
         ("pigeonhole", trivial),
         ("quadratic_at_2", quadratic),
-        ("block_formula", 2 * r * k - 2 * r * (r - 1)),
         ("block_construction", block),
     ]
     if upper < block:

@@ -24,6 +24,10 @@ raises LemmaViolation, which the command line maps to a distinct exit status.
 The third law, that cliques of distinct colours share at most one vertex, is
 derived rather than searched: a shared pair u, v would give the edge uv two
 colours.  Every family covers the vertices, so the stored maximum is 1.
+
+In the JSON document (``"format": 2``) each measure vector is its distinct
+values plus one index into them per entry; ``check_certificate`` also reads
+version 1's plain lists, and re-checks every fact on the expanded vectors.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
-from math import ceil, isqrt, lcm
+from math import ceil, lcm
 from operator import and_
 from typing import Iterable, Sequence
 
 from .bounds import LemmaViolation, _sqrt_sum_squared, f_max, two_colour_lower
+from .constructions import _ceil_two_sqrt
 from .cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
@@ -99,9 +104,12 @@ class FamilyMeasure:
 
 def _common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers a and one positive d with xs[i] == a[i] / d, so that sums and
-    comparisons of the xs become integer arithmetic."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+    comparisons of the xs become integer arithmetic.  Measure entries share a
+    few objects, so each distinct object is lifted once."""
+    distinct = dict(zip(map(id, xs), xs))
+    d = lcm(*(x.denominator for x in distinct.values()))
+    lifted = {i: x.numerator * (d // x.denominator) for i, x in distinct.items()}
+    return list(map(lifted.__getitem__, map(id, xs))), d
 
 
 def _check_probability(weights: Sequence[Fraction]) -> None:
@@ -164,6 +172,11 @@ def _refine(n: int, cliques: Sequence[Sequence[int]]) -> tuple[list[int], list[i
         counts[side] = len(ids)
 
 
+class _Duals(tuple):
+    """Clique duals; ``lifted`` holds the cliques, the duals as integers and
+    their vertex masses from ``compute_delta``'s audit, for ``construct_mu``."""
+
+
 def compute_delta(
     g: EdgeColouredGraph, fam: CliqueFamily
 ) -> tuple[Fraction, VertexMeasure, tuple[Fraction, ...]]:
@@ -179,7 +192,7 @@ def compute_delta(
     cliques = fam.cliques
     if not cliques:
         raise ValueError("clique family is empty")
-    n, m = g.n, len(cliques)
+    n = g.n
     vcell, ccell = _refine(n, cliques)
     p, q = max(vcell) + 1, max(ccell) + 1
     vsize, csize = Counter(vcell), Counter(ccell)
@@ -197,26 +210,29 @@ def compute_delta(
     delta = sol.value
     lam = [sol.primal[a] for a in vcell]
     per_cell = [sol.dual[b] / csize[b] for b in range(q)]
-    duals = list(map(per_cell.__getitem__, ccell))
+    duals = _Duals(map(per_cell.__getitem__, ccell))
     # The full-size audit, in integers on the clique/vertex shape: x is lam and
-    # delta, y the clique and mass-row duals, each lifted from its cell values.
+    # delta, y the clique duals, each lifted from its cell values, and top
+    # the mass-row dual.
     cx, xden = _common_denominator([*sol.primal, delta])
     x = [*map(cx.__getitem__, vcell), cx[p]]
     if min(x) < 0:
         raise AuditFailure("primal variable went negative")
     if sum(x) - x[n] > xden or min(sum(map(x.__getitem__, c)) for c in cliques) < x[n]:
         raise AuditFailure("primal constraint violated on a <= row")
-    cy, yden = _common_denominator([*per_cell, sol.dual[q]])
-    y = [*map(cy.__getitem__, ccell), cy[q]]
-    if min(y) < 0:
+    cy, yden = _common_denominator(per_cell)
+    y, top = list(map(cy.__getitem__, ccell)), sol.dual[q]
+    if min(y) < 0 or top < 0:
         raise AuditFailure("dual sign violated on a <= row")
-    if sum(y) - y[m] < yden or max(_vertex_masses(n, cliques, y)) > y[m]:
+    masses = _vertex_masses(n, cliques, y)
+    if sum(y) < yden or max(masses) * top.denominator > top.numerator * yden:
         raise AuditFailure("dual constraint violated")
-    if y[m] * delta.denominator != delta.numerator * yden:
+    if top != delta:
         raise AuditFailure("strong duality failed")
     if delta < Fraction(fam.k, n):
         raise LemmaViolation(f"delta {delta} fell below the uniform floor {fam.k}/{n}")
-    return delta, VertexMeasure(tuple(lam)), tuple(duals)
+    duals.lifted = cliques, y, masses
+    return delta, VertexMeasure(tuple(lam)), duals
 
 
 def construct_mu(
@@ -224,7 +240,8 @@ def construct_mu(
 ) -> FamilyMeasure:
     """The clique duals of ``compute_delta``'s LP, divided by their sum: a
     probability measure on fam whose vertex masses stay within delta.  The
-    duals are summed as integers, and each distinct one is divided once.
+    duals are summed as integers, and each distinct one is divided once;
+    duals straight from ``compute_delta`` bring their vertex masses along.
 
     Every such measure puts mass at least the exact delta on some vertex
     (average its masses under an optimal lam), so an understated delta
@@ -234,13 +251,15 @@ def construct_mu(
         raise ValueError("clique family is empty")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    nums, _ = _common_denominator(duals)
+    cliques, nums, masses = getattr(duals, "lifted", (None, None, None))
+    if cliques is not fam.cliques:
+        nums, masses = _common_denominator(duals)[0], None
     total = sum(nums)
     if len(duals) != len(fam.cliques) or total <= 0:
         raise ValueError("need one dual per clique, with a positive sum")
     share = {a: Fraction(a, total) for a in set(nums)}
     mu = FamilyMeasure(tuple(map(share.__getitem__, nums)))
-    masses = _vertex_masses(g.n, fam.cliques, nums)
+    masses = masses or _vertex_masses(g.n, fam.cliques, nums)
     if max(masses) * delta.denominator > delta.numerator * total:
         raise LemmaViolation(f"a mu vertex mass exceeds delta={delta}")
     object.__setattr__(mu, "_masses", (masses, total))  # certify keeps these as is
@@ -306,12 +325,11 @@ def two_colour_bound(k1: int, k2: int, delta1, delta2) -> Fraction:
         return Fraction(a, 1) / d + Fraction(b, 1) / (1 - d)
 
     candidates = [d1, 1 - d2]
-    if a > 0 and b > 0:
-        root = isqrt(a * b)
-        if root * root == a * b:
-            stationary = Fraction(a, a + root)
-            if d1 <= stationary <= 1 - d2:
-                candidates.append(stationary)
+    t, exact = _ceil_two_sqrt(a, b)
+    if a > 0 and b > 0 and exact:
+        stationary = Fraction(a, a + t // 2)
+        if d1 <= stationary <= 1 - d2:
+            candidates.append(stationary)
     return max(h(d) for d in candidates)
 
 
@@ -351,15 +369,8 @@ class CertificationResult:
     universal_form: str | None
 
     def to_json_dict(self) -> dict:
-        strings: dict = {}  # id -> (num, den): weights repeat the same objects
-
-        def rats(xs: Sequence[Fraction]) -> list[dict]:
-            for x in xs:
-                if id(x) not in strings:
-                    strings[id(x)] = str(x.numerator), str(x.denominator)
-            return [{"num": a, "den": b} for a, b in map(strings.__getitem__, map(id, xs))]
-
         doc = {
+            "format": 2,
             "n": self.n,
             "r": self.r,
             "targets": [list(t) for t in self.targets],
@@ -371,9 +382,9 @@ class CertificationResult:
                     "cliques": [list(q) for q in c.family.cliques],
                     "delta": _rat(c.delta),
                     "alpha": _rat(c.alpha),
-                    "lambda": rats(c.lam.weights),
-                    "mu": rats(c.mu.weights),
-                    "mu_vertex_mass": rats(c.mu_vertex_mass),
+                    "lambda": _packed(c.lam.weights),
+                    "mu": _packed(c.mu.weights),
+                    "mu_vertex_mass": _packed(c.mu_vertex_mass),
                 }
                 for c in self.certificates
             ],
@@ -401,6 +412,17 @@ class CertificationResult:
 
 def _rat(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def _packed(xs: Sequence[Fraction]) -> dict:
+    """A measure vector in format 2: its distinct values by first appearance
+    and each entry's position among them.  Entries share a few objects, so
+    they are deduplicated by id, then by value: the output is the values'."""
+    slots: dict = {}
+    distinct = dict(zip(map(id, xs), xs)).items()
+    where = {i: slots.setdefault(x, len(slots)) for i, x in distinct}
+    return {"values": list(map(_rat, slots)),
+            "index": list(map(where.__getitem__, map(id, xs)))}
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -431,16 +453,16 @@ def _unrat(doc: dict) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def _unrats(docs, memo: dict) -> list[Fraction]:
-    """``_unrat`` of each entry, each distinct pair of strings decoded once."""
-    out = []
-    for d in docs:
-        key = d["num"], d["den"]
-        if type(key[0]) is not str or type(key[1]) is not str:
-            out.append(_unrat(d))
-        else:
-            out.append(memo[key] if key in memo else memo.setdefault(key, _unrat(d)))
-    return out
+def _unpacked(doc, size: int, packed: bool) -> list[Fraction]:
+    """A measure vector of ``size`` entries: format 2's values and index, or a
+    version-1 list of rationals, read as values with the identity index.
+    Each value is decoded once; each index entry is a JSON int within range."""
+    values = doc["values"] if packed else doc
+    index = _ints(doc["index"]) if packed else range(len(values))
+    if type(values) is not list or len(index) != size or index and not (
+            0 <= min(index) and max(index) < len(values)):
+        raise ValueError(f"a measure needs {size} entries indexing a list of values")
+    return list(map([*map(_unrat, values)].__getitem__, index))
 
 
 def _universal(k1: int, k2: int) -> tuple[int, str]:
@@ -542,16 +564,20 @@ def certify(
 
 
 def certificate_from_json_dict(doc: dict) -> dict:
-    """Decode the JSON form; rationals become Fractions, cliques tuples.
+    """Decode the JSON form, format 2 or version 1 (no ``format``, or 1);
+    rationals become Fractions, cliques tuples, measure vectors full lists.
 
     A missing field raises KeyError or TypeError.  A malformed one raises
-    ValueError: counts, colours and vertices must be JSON integers, and a
-    rational needs decimal strings with a positive denominator.  Within one
-    document each distinct rational of the measure vectors is decoded once.
+    ValueError: counts, colours, vertices and measure indices must be JSON
+    integers, an index needs one entry per vertex (per clique for mu) within
+    its values, and a rational decimal strings with a positive denominator.
     """
-    memo: dict = {}
+    fmt = doc["format"] if "format" in doc else 1
+    if type(fmt) is not int or fmt not in (1, 2):
+        raise ValueError(f"unknown certificate format {fmt!r}")
+    n, packed = _int(doc["n"]), fmt == 2
     out = {
-        "n": _int(doc["n"]),
+        "n": n,
         "r": _int(doc["r"]),
         "targets": [_pair(t) for t in doc["targets"]],
         "policy": doc["policy"],
@@ -564,16 +590,17 @@ def certificate_from_json_dict(doc: dict) -> dict:
     if doc.get("universal") is not None:
         out["universal"] = (_int(doc["universal"]["lower"]), doc["universal"]["form"])
     for c in doc["certificates"]:
+        cliques = [_ints(q) for q in c["cliques"]]
         out["certificates"].append(
             {
                 "colour": _int(c["colour"]),
                 "k": _int(c["k"]),
-                "cliques": [_ints(q) for q in c["cliques"]],
+                "cliques": cliques,
                 "delta": _unrat(c["delta"]),
                 "alpha": _unrat(c["alpha"]),
-                "lambda": _unrats(c["lambda"], memo),
-                "mu": _unrats(c["mu"], memo),
-                "mu_vertex_mass": _unrats(c["mu_vertex_mass"], memo),
+                "lambda": _unpacked(c["lambda"], n, packed),
+                "mu": _unpacked(c["mu"], len(cliques), packed),
+                "mu_vertex_mass": _unpacked(c["mu_vertex_mass"], n, packed),
             }
         )
     for p in doc.get("pairwise", []):
@@ -721,23 +748,21 @@ def _check_colour(
         issues.append(f"colour {colour}: vertex {v} lies in none of the cliques")
     if not cliques:
         return False
-    lam, mu = c["lambda"], c["mu"]
+    lam, mu = c["lambda"], c["mu"]  # the decoder gave them n and m entries
     w, den = _common_denominator(lam)
-    if len(lam) != n or any(a < 0 for a in w) or sum(w) != den:
+    if any(a < 0 for a in w) or sum(w) != den:
         issues.append(f"colour {colour}: lambda is not a probability measure")
     elif min(sum(map(w.__getitem__, q)) for q in cliques) * delta.denominator != (
         delta.numerator * den
     ):
         issues.append(f"colour {colour}: lambda does not achieve the stated delta")
     w, den = _common_denominator(mu)
-    if len(mu) != len(cliques) or any(a < 0 for a in w) or sum(w) != den:
+    if any(a < 0 for a in w) or sum(w) != den:
         issues.append(f"colour {colour}: mu is not a probability measure")
     else:
         induced = _vertex_masses(n, cliques, w)
         stored, stored_den = masses
-        if len(stored) != n or any(
-            a * den != m * stored_den for a, m in zip(stored, induced)
-        ):
+        if any(a * den != m * stored_den for a, m in zip(stored, induced)):
             issues.append(f"colour {colour}: stored mu vertex masses are wrong")
         if max(induced) * delta.denominator > delta.numerator * den:
             issues.append(

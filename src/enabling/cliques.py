@@ -74,8 +74,9 @@ def _lex_witnesses(
     index = [-1] * n
     closed = [a | 1 << v for v, a in enumerate(adj)]
     cand, left, mask, need = wanted, wanted, 0, k  # mask: the vertices of chosen
-    for v in _members(wanted):
-        cand |= adj[v]
+    if wanted != (1 << n) - 1:  # with every vertex wanted, cand holds them all
+        for v in _members(wanted):
+            cand |= adj[v]
     chosen: list[int] = []
     stack: list[int] = []  # the candidates left at each level above
     while True:

@@ -46,13 +46,21 @@ def p4_blowup(n: int) -> EdgeColouredGraph:
     return EdgeColouredGraph(n, 2, tuple(cols))
 
 
+def _ceil_two_sqrt(a: int, b: int) -> tuple[int, bool]:
+    """ceil(2*sqrt(a*b)) for a, b >= 0, and whether a*b is a perfect square,
+    that is, whether the ceiling is 2*sqrt(a*b) itself."""
+    root = isqrt(a * b)
+    if root * root == a * b:
+        return 2 * root, True
+    return isqrt(4 * a * b) + 1, False
+
+
 def _extremal_parts(k1: int, k2: int) -> tuple[int, int, int, int]:
     """(a, b, x, y) of ``two_colour_extremal``: |R| = a+x and |B| = b+y."""
     if k1 < 2 or k2 < 2:
         raise ValueError(f"need both clique targets >= 2, got ({k1}, {k2})")
     a, b = k1 - 1, k2 - 1
-    root = isqrt(4 * a * b)
-    t = root if root * root == 4 * a * b else root + 1
+    t, _ = _ceil_two_sqrt(a, b)
     x = 1
     while x * (t - x) < a * b:
         x += 1
@@ -98,19 +106,15 @@ def two_colour_extremal(k1: int, k2: int) -> EdgeColouredGraph:
 
 def integer_extremal_pairs(n_max: int) -> list[tuple[int, int]]:
     """Ordered pairs (k1, k2), both >= 2, whose extremal vertex count
-    (sqrt(k1-1)+sqrt(k2-1))^2 is an integer at most n_max."""
-    found = []
-    for k1 in range(2, n_max + 1):
-        for k2 in range(2, n_max + 1):
-            prod = (k1 - 1) * (k2 - 1)
-            root = isqrt(prod)
-            if root * root != prod:
-                continue
-            n = k1 + k2 - 2 + 2 * root
-            if n <= n_max:
-                found.append((n, k1, k2))
-    found.sort()
-    return [(k1, k2) for _, k1, k2 in found]
+    (sqrt(k1-1)+sqrt(k2-1))^2 is an integer at most n_max, by that count.
+
+    (k1-1)(k2-1) is a square exactly when k1-1 = g*u^2 and k2-1 = g*v^2, and
+    the count is then g*(u+v)^2; a g with a square factor repeats a pair."""
+    found = {(g * s * s, g * u * u + 1, g * (s - u) ** 2 + 1)
+             for g in range(1, n_max // 4 + 1)
+             for s in range(2, isqrt(n_max // g) + 1)
+             for u in range(1, s)}
+    return [(k1, k2) for _, k1, k2 in sorted(found)]
 
 
 def multicolour_blocks(r: int, k: int) -> EdgeColouredGraph:

@@ -189,3 +189,55 @@ def test_report_json_has_sorted_scalar_shape():
     doc = two_colour_report(3, 9).to_json_dict()
     assert doc["lower"] == 18
     assert isinstance(doc["provenance"], list)
+
+
+def _old_spellings(k1, k2):
+    """The five perfect-square tests of (k1-1)(k2-1) as they were written out
+    before sharing one helper."""
+    a, b = k1 - 1, k2 - 1
+    root4 = isqrt(4 * a * b)
+    lower = max(k1, k2, a + b + root4 if root4 * root4 == 4 * a * b else a + b + root4 + 1)
+    root = isqrt(a * b)
+    square = a + b + 2 * root if root * root == a * b else f"{a + b} + 2*sqrt({a * b})"
+    t, x, parts = root4 if root4 * root4 == 4 * a * b else root4 + 1, 1, None
+    if min(k1, k2) >= 2:
+        while x * (t - x) < a * b:
+            x += 1
+        parts = a, b, x, t - x
+    pair = root * root == a * b and k1 + k2 - 2 + 2 * root
+    stationary = F(a, a + root) if a > 0 and b > 0 and root * root == a * b else None
+    return lower, square, parts, pair, stationary
+
+
+def test_one_perfect_square_helper_keeps_every_output():
+    from enabling.bounds import _sqrt_sum_squared
+    from enabling.certificates import two_colour_bound
+    from enabling.constructions import _extremal_parts, integer_extremal_pairs
+
+    pairs = set(integer_extremal_pairs(60))
+    for k1 in range(1, 61):
+        for k2 in range(1, 61):
+            lower, square, parts, pair, stationary = _old_spellings(k1, k2)
+            assert two_colour_lower(k1, k2) == lower
+            assert _sqrt_sum_squared(k1, k2) == square
+            if parts is not None:
+                assert _extremal_parts(k1, k2) == parts
+            assert ((k1, k2) in pairs) == (bool(pair) and pair <= 60 and min(k1, k2) >= 2)
+            # With delta1 = stationary = 1 - delta2 the interval collapses
+            # to the point; otherwise the bound is at an endpoint.
+            d = stationary if stationary is not None else F(1, 3)
+            a, b = k1 - 1, k2 - 1
+            expected = a / d + b / (1 - d)
+            assert two_colour_bound(k1, k2, d, 1 - d) == expected
+
+
+def test_multicolour_report_has_no_block_formula_entry():
+    for r in range(2, 11):
+        for k in range(2, 11):
+            prov = dict(multicolour_report(r, k).provenance)
+            assert "block_formula" not in prov
+            assert set(prov) <= {"pigeonhole", "quadratic_at_2", "block_construction",
+                                 "prime_slope"}
+            # The dropped value 2rk - 2r(r-1) is f_eval(r, k, 2), so the
+            # reported quadratic bound is never below it.
+            assert prov["quadratic_at_2"] >= 2 * r * k - 2 * r * (r - 1) == f_eval(r, k, 2)

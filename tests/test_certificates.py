@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -333,7 +334,7 @@ def test_recheck_flags_corrupted_certificates():
     assert check_certificate(g, tampered)
 
     tampered = json.loads(json.dumps(doc))
-    tampered["certificates"][0]["mu"][0] = {"num": "1", "den": "1"}
+    _set_entry(tampered["certificates"][0]["mu"], 0, {"num": "1", "den": "1"})
     assert check_certificate(g, tampered)
 
     tampered = json.loads(json.dumps(doc))
@@ -384,6 +385,26 @@ def _rational(x):
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+def _pack(entries):
+    """Format 2's form of a list of rational dicts, built entry by entry:
+    the distinct values by first appearance and each entry's position."""
+    keys = [(d["num"], d["den"]) for d in entries]
+    slots = list(dict.fromkeys(keys))
+    return {"values": [{"num": a, "den": b} for a, b in slots],
+            "index": [slots.index(key) for key in keys]}
+
+
+def _expand(vector):
+    """The entries of a format-2 measure vector, one rational dict each."""
+    return [dict(vector["values"][i]) for i in vector["index"]]
+
+
+def _set_entry(vector, i, rational):
+    """Give entry i of a format-2 vector a value of its own."""
+    vector["values"].append(rational)
+    vector["index"][i] = len(vector["values"]) - 1
+
+
 def _set_clique(vertices):
     def mutate(doc):
         doc["certificates"][0]["cliques"][0] = vertices
@@ -392,7 +413,7 @@ def _set_clique(vertices):
 
 def _after_a_third(bad):
     def mutate(doc):
-        doc["certificates"][0]["lambda"][:2] = [{"num": "1", "den": "3"}, bad]
+        doc["certificates"][0]["lambda"]["values"][:2] = [{"num": "1", "den": "3"}, bad]
     return mutate
 
 
@@ -402,12 +423,14 @@ def _uncover(doc):
     # Moving the weight of (1, 2) onto (0, 2) and dropping (1, 2) leaves
     # every sum and cap intact but vertex 1 uncovered.
     cert = doc["certificates"][0]
+    mu, masses = _expand(cert["mu"]), _expand(cert["mu_vertex_mass"])
     quarter, half, zero = ({"num": a, "den": b} for a, b in ("14", "12", "01"))
     assert cert["cliques"][:2] == [[0, 2], [1, 2]]
-    assert cert["mu"][:2] == cert["mu_vertex_mass"][:2] == [quarter, quarter]
-    del cert["cliques"][1], cert["mu"][1]
-    cert["mu"][0] = half
-    cert["mu_vertex_mass"][:2] = [half, zero]
+    assert mu[:2] == masses[:2] == [quarter, quarter]
+    del cert["cliques"][1], mu[1]
+    mu[0] = half
+    masses[:2] = [half, zero]
+    cert["mu"], cert["mu_vertex_mass"] = _pack(mu), _pack(masses)
 
 
 # (path-graph size, mutation, an expected issue).  The first block are
@@ -453,7 +476,7 @@ PROBES = {
     ),
     "empty clique family": (
         4,
-        lambda d: d["certificates"][0].update(cliques=[], mu=[]),
+        lambda d: d["certificates"][0].update(cliques=[], mu=_pack([])),
         "vertex 0 lies in none",
     ),
     "ceiling above the bound": (
@@ -480,17 +503,20 @@ PROBES = {
     ),
     "negative denominator": (
         4,
-        lambda d: d["certificates"][0]["lambda"].__setitem__(
+        lambda d: d["certificates"][0]["lambda"]["values"].__setitem__(
             0, {"num": "-1", "den": "-2"}
         ),
         "malformed",
     ),
     "non-numeric rational": (
         4,
-        lambda d: d["certificates"][0]["mu"].__setitem__(0, {"num": "x", "den": "2"}),
+        lambda d: d["certificates"][0]["mu"]["values"].__setitem__(
+            0, {"num": "x", "den": "2"}
+        ),
         "malformed",
     ),
-    # A valid 1/3 comes first in lambda, so a decode memo has seen it.
+    # A valid 1/3 comes first in lambda's values, and the bad value after it
+    # is decoded although no index entry names it.
     "memo: same num, zero den": (4, _after_a_third({"num": "1", "den": "0"}), "malformed"),
     "memo: same num, padded den": (
         4, _after_a_third({"num": "1", "den": " 3"}), "malformed"
@@ -544,14 +570,18 @@ def test_recheck_rejects_unsound_and_malformed_documents(name):
      {"num": "1", "den": " 3"}, {"num": "1", "den": "0"}, {"num": "1"}, [], "1/3"],
 )
 def test_memoised_decode_fails_as_the_plain_one_does(bad):
-    memo = {}
-    assert certificates._unrats([{"num": "1", "den": "3"}] * 2, memo) == [F(1, 3)] * 2
+    # A measure's values are decoded once each, in either format; a bad value
+    # fails as decoding it alone does, whether or not an entry names it.
+    third = {"num": "1", "den": "3"}
+    unpacked = certificates._unpacked
+    assert unpacked({"values": [third], "index": [0, 0]}, 2, True) == [F(1, 3)] * 2
     with pytest.raises(Exception) as plain:
         certificates._unrat(bad)
-    with pytest.raises(type(plain.value)) as memoised:
-        certificates._unrats([{"num": "1", "den": "3"}, bad], memo)
-    assert str(memoised.value) == str(plain.value)
-    assert list(memo) == [("1", "3")]
+    for vector, packed in (({"values": [third, bad], "index": [0, 0]}, True),
+                           ([third, bad], False)):
+        with pytest.raises(type(plain.value)) as memoised:
+            unpacked(vector, 2, packed)
+        assert str(memoised.value) == str(plain.value)
 
 
 @st.composite
@@ -591,13 +621,16 @@ def colour_documents(draw):
 
 
 def _reference_issues(n, cliques, lam, mu, masses, delta):
-    """The measure checks in plain Fraction arithmetic."""
+    """The measure checks in plain Fraction arithmetic.  A vector of the wrong
+    length is refused when the document is decoded."""
+    if len(lam) != n or len(mu) != len(cliques):
+        return {"malformed certificate"}
     found = set()
-    if len(lam) != n or any(w < 0 for w in lam) or sum(lam) != 1:
+    if any(w < 0 for w in lam) or sum(lam) != 1:
         found.add("lambda is not a probability measure")
     elif min(sum(lam[v] for v in q) for q in cliques) != delta:
         found.add("lambda does not achieve the stated delta")
-    if len(mu) != len(cliques) or any(w < 0 for w in mu) or sum(mu) != 1:
+    if any(w < 0 for w in mu) or sum(mu) != 1:
         found.add("mu is not a probability measure")
     else:
         induced = [F(0)] * n
@@ -612,9 +645,10 @@ def _reference_issues(n, cliques, lam, mu, masses, delta):
 
 
 @settings(max_examples=300, deadline=None)
-@given(colour_documents())
-def test_integer_measure_checks_match_fraction_reference(case):
+@given(colour_documents(), st.booleans())
+def test_integer_measure_checks_match_fraction_reference(case, packed):
     n, k, cliques, lam, mu, masses, delta = case
+    vector = _pack if packed else list  # format 2, or version 1's lists
     doc = {
         "n": n,
         "r": 1,
@@ -627,14 +661,16 @@ def test_integer_measure_checks_match_fraction_reference(case):
                 "cliques": [list(q) for q in cliques],
                 "delta": _rational(delta),
                 "alpha": _rational(1 / delta if delta else F(1)),
-                "lambda": [_rational(w) for w in lam],
-                "mu": [_rational(w) for w in mu],
-                "mu_vertex_mass": [_rational(w) for w in masses],
+                "lambda": vector([_rational(w) for w in lam]),
+                "mu": vector([_rational(w) for w in mu]),
+                "mu_vertex_mass": vector([_rational(w) for w in masses]),
             }
         ],
         "pairwise": [],
         "bound": {"value": _rational(F(n)), "ceiling": n},
     }
+    if packed:
+        doc["format"] = 2
     issues = check_certificate(monochromatic_complete(n, r=1), doc)
     expected = _reference_issues(n, cliques, lam, mu, masses, delta)
     got = {name for name in _MEASURE_ISSUES if any(name in i for i in issues)}
@@ -642,6 +678,7 @@ def test_integer_measure_checks_match_fraction_reference(case):
 
 
 _MEASURE_ISSUES = (
+    "malformed certificate",
     "lambda is not a probability measure",
     "lambda does not achieve the stated delta",
     "mu is not a probability measure",
@@ -724,13 +761,14 @@ def test_certify_keeps_its_refusal_texts_and_their_order():
 
 
 def _reference_json(res):
-    """to_json with every rational converted by ``_rat`` entry by entry."""
+    """to_json with every rational converted by ``_rat`` entry by entry, and
+    each vector packed by comparing those strings."""
     doc = res.to_json_dict()
     for entry, c in zip(doc["certificates"], res.certificates):
         entry["delta"], entry["alpha"] = map(certificates._rat, (c.delta, c.alpha))
-        entry["lambda"] = [certificates._rat(w) for w in c.lam.weights]
-        entry["mu"] = [certificates._rat(w) for w in c.mu.weights]
-        entry["mu_vertex_mass"] = [certificates._rat(w) for w in c.mu_vertex_mass]
+        entry["lambda"] = _pack([certificates._rat(w) for w in c.lam.weights])
+        entry["mu"] = _pack([certificates._rat(w) for w in c.mu.weights])
+        entry["mu_vertex_mass"] = _pack([certificates._rat(w) for w in c.mu_vertex_mass])
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -748,8 +786,8 @@ def _serialisation_cases():
 
 
 def _rationals(doc):
-    return [d for c in doc["certificates"]
-            for d in (*c["lambda"], *c["mu"], *c["mu_vertex_mass"])]
+    return [d for c in doc["certificates"] for key in ("lambda", "mu", "mu_vertex_mass")
+            for d in c[key]["values"]]
 
 
 def test_serialisation_matches_the_per_entry_reference_and_shares_no_dict():
@@ -776,3 +814,210 @@ def test_all_cliques_certify_searches_each_colour_once(monkeypatch):
     g = two_colour_extremal(3, 3)
     doc = json.loads(certify(g, ((1, 3), (0, 3)), ALL_CLIQUES).to_json())
     assert calls == [1, 0] and check_certificate(g, doc) == []
+
+
+# ------------------------------------------------------------ format 2
+
+
+def _format_cases():
+    return [
+        (p4(), ((0, 2), (1, 2)), ALL_CLIQUES),
+        (two_colour_extremal(3, 3), ((0, 3), (1, 3)), PER_VERTEX_LEX),
+        (two_colour_extremal(2, 10), ((0, 2), (1, 10)), ALL_CLIQUES),
+        (multicolour_blocks(3, 3), tuple((c, 3) for c in range(3)), PER_VERTEX_LEX),
+        (prime_slope(3), tuple((c, 3) for c in range(4)), ALL_CLIQUES),
+    ]
+
+
+def _version_1(doc):
+    """The same certificate as a version-1 document: no format key, and each
+    measure vector a plain list of rationals."""
+    old = json.loads(json.dumps(doc))
+    del old["format"]
+    for c in old["certificates"]:
+        for key in ("lambda", "mu", "mu_vertex_mass"):
+            c[key] = _expand(c[key])
+    return old
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_format_2_round_trip(case):
+    g, targets, policy = _format_cases()[case]
+    res = certify(g, targets, policy)
+    text = res.to_json()
+    doc = json.loads(text)
+    assert doc["format"] == 2 and check_certificate(g, doc) == []
+    decoded = certificates.certificate_from_json_dict(doc)
+    for c, d, entry in zip(res.certificates, decoded["certificates"], doc["certificates"]):
+        assert d["lambda"] == list(c.lam.weights)
+        assert d["mu"] == list(c.mu.weights)
+        assert d["mu_vertex_mass"] == list(c.mu_vertex_mass)
+        for key in ("lambda", "mu", "mu_vertex_mass"):
+            values = [(v["num"], v["den"]) for v in entry[key]["values"]]
+            assert len(set(values)) == len(values)  # each value once
+            assert sorted(set(entry[key]["index"])) == list(range(len(values)))
+    # The bytes depend on the values alone, not on which objects are shared.
+    fresh = [replace(c, lam=VertexMeasure(tuple(F(w.numerator, w.denominator)
+                                                for w in c.lam.weights)),
+                     mu_vertex_mass=tuple(F(w.numerator, w.denominator)
+                                          for w in c.mu_vertex_mass))
+             for c in res.certificates]
+    assert replace(res, certificates=tuple(fresh)).to_json() == text
+    assert certify(g, targets, policy).to_json() == text
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_version_1_documents_still_check_clean(case):
+    g, targets, policy = _format_cases()[case]
+    doc = json.loads(certify(g, targets, policy).to_json())
+    old = _version_1(doc)
+    assert check_certificate(g, old) == []
+    assert check_certificate(g, dict(old, format=1)) == []
+    decode = certificates.certificate_from_json_dict
+    assert decode(old) == decode(doc)
+    # A version-1 document is checked as strictly as ever.
+    old["certificates"][0]["lambda"][0] = {"num": "1", "den": "1"}
+    assert any("lambda is not a probability measure" in i
+               for i in check_certificate(g, old))
+    old["certificates"][0]["lambda"].pop()
+    assert any("malformed" in i for i in check_certificate(g, old))
+
+
+INDEX_TAMPERS = {
+    "out of range": lambda v: v["index"].__setitem__(0, len(v["values"])),
+    "far out of range": lambda v: v["index"].__setitem__(-1, 10**30),
+    "negative": lambda v: v["index"].__setitem__(0, -1),
+    "bool": lambda v: v["index"].__setitem__(0, False),
+    "float": lambda v: v["index"].__setitem__(0, 0.0),
+    "string": lambda v: v["index"].__setitem__(0, "0"),
+    "null": lambda v: v["index"].__setitem__(0, None),
+    "one short": lambda v: v["index"].pop(),
+    "one long": lambda v: v["index"].append(0),
+    "missing index": lambda v: v.pop("index"),
+    "missing values": lambda v: v.pop("values"),
+    "index not a list": lambda v: v.update(index=0),
+    "values an object": lambda v: v.update(values={"0": v["values"][0]}),
+    "no values": lambda v: v.update(values=[]),
+}
+
+
+@pytest.mark.parametrize("key", ["lambda", "mu", "mu_vertex_mass"])
+@pytest.mark.parametrize("name", sorted(INDEX_TAMPERS))
+def test_a_tampered_measure_index_gives_an_issue(key, name):
+    g = p4_blowup(5)
+    doc = json.loads(certify(g, ((0, 2), (1, 2))).to_json())
+    INDEX_TAMPERS[name](doc["certificates"][1][key])
+    issues = check_certificate(g, doc)
+    assert issues and all(isinstance(i, str) for i in issues)
+    assert issues[0].startswith("malformed certificate"), issues
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["certificates"][0].update(
+            {"lambda": _expand(d["certificates"][0]["lambda"])}),
+        lambda d: d.update(format=3),
+        lambda d: d.update(format="2"),
+        lambda d: d.update(format=True),
+        lambda d: d.update(format=2.0),
+        lambda d: d.update(format=None),
+        lambda d: d.update(format=1),
+        lambda d: d.pop("format"),
+    ],
+    ids=["values given as a list", "format 3", "format string", "format bool",
+         "format float", "format null", "format 1 with packed vectors",
+         "no format with packed vectors"],
+)
+def test_a_document_in_the_wrong_format_gives_an_issue(mutate):
+    g = p4()
+    doc = json.loads(certify(g, ((0, 2), (1, 2))).to_json())
+    mutate(doc)
+    issues = check_certificate(g, doc)
+    assert issues and all(isinstance(i, str) for i in issues)
+    assert issues[0].startswith("malformed certificate"), issues
+
+
+def test_the_checker_gives_the_same_issues_under_optimisation_flag():
+    # No check that carries a theorem may sit in an assert: a small tamper
+    # corpus gets identical issue lists with and without python -O.
+    code = textwrap.dedent(
+        """
+        import json
+        from enabling.certificates import certify, check_certificate
+        from enabling.constructions import p4_blowup, two_colour_extremal
+
+        def moved(v, i, rational):
+            v["values"].append(rational)
+            v["index"][i] = len(v["values"]) - 1
+
+        TAMPERS = [
+            lambda d: None,
+            lambda d: d["certificates"][0].update(delta={"num": "2", "den": "3"}),
+            lambda d: d["certificates"][0]["lambda"]["values"].__setitem__(
+                0, {"num": "1", "den": "1"}),
+            lambda d: moved(d["certificates"][0]["lambda"], 0, {"num": "1", "den": "1"}),
+            lambda d: moved(d["certificates"][1]["mu"], 0, {"num": "0", "den": "1"}),
+            lambda d: moved(d["certificates"][0]["mu_vertex_mass"], 1,
+                            {"num": "1", "den": "1"}),
+            lambda d: d["certificates"][1]["cliques"].__setitem__(0, [0, 1, 2]),
+            lambda d: d["certificates"][0]["cliques"].pop(),
+            lambda d: d["certificates"][0]["lambda"]["index"].__setitem__(0, 99),
+            lambda d: d["certificates"][0]["mu"]["index"].__setitem__(0, True),
+            lambda d: d["certificates"][0]["mu"]["index"].pop(),
+            lambda d: d.update(format=7),
+            lambda d: d["bound"].update(value={"num": "9", "den": "1"}),
+            lambda d: d["pairwise"][0].update(max_intersection=2),
+            lambda d: d["universal"].update(lower=1),
+        ]
+        print(__debug__)
+        for g, targets in ((p4_blowup(5), ((0, 2), (1, 2))),
+                           (two_colour_extremal(3, 3), ((0, 3), (1, 3)))):
+            text = certify(g, targets, "per-vertex-lex").to_json()
+            for tamper in TAMPERS:
+                doc = json.loads(text)
+                tamper(doc)
+                print(json.dumps(check_certificate(g, doc)))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(enabling.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout.splitlines()
+        for flags in ([], ["-O"])
+    ]
+    assert [run[0] for run in runs] == ["True", "False"]
+    assert runs[0][1:] == runs[1][1:]
+    lists = [json.loads(line) for line in runs[0][1:]]
+    assert len(lists) == 30 and lists[0] == lists[15] == []
+    assert all(lists[1:15]) and all(lists[16:])
+
+
+def test_certify_sums_each_colours_vertex_masses_once(monkeypatch):
+    calls = []
+    real = certificates._vertex_masses
+    monkeypatch.setattr(certificates, "_vertex_masses",
+                        lambda *a: calls.append(1) or real(*a))
+    for g, targets, _ in _format_cases():
+        for policy in (ALL_CLIQUES, PER_VERTEX_LEX):
+            calls.clear()
+            res = certify(g, targets, policy)
+            assert len(calls) == len(targets)
+            for c in res.certificates:
+                assert c.mu_vertex_mass == mu_vertex_masses(g.n, c.family, c.mu)
+
+
+def test_construct_mu_reads_the_same_from_plain_duals():
+    for g, targets, policy in _format_cases():
+        for colour, k in targets:
+            fam = choose_family(g, colour, k, policy)
+            delta, _, duals = compute_delta(g, fam)
+            mu = construct_mu(g, fam, delta, duals)
+            copy = CliqueFamily(colour, k, tuple(map(tuple, fam.cliques)))
+            for plain, family in ((tuple(duals), fam), (duals, copy)):
+                other = construct_mu(g, family, delta, plain)
+                assert other == mu and other._masses == mu._masses

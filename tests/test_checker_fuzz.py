@@ -1,6 +1,7 @@
 """Mutation fuzzing of whole certificate documents: ``check_certificate`` is
 total (a list of str, never an exception) whatever is replaced, deleted or
-appended, and it rejects a wrong delta, lambda entry or clique vertex."""
+appended, and it rejects a wrong delta, lambda value or index entry, or
+clique vertex."""
 
 import copy
 import json
@@ -93,14 +94,25 @@ def test_a_wrong_delta_lambda_entry_or_clique_vertex_is_rejected(case, data):
     cert = data.draw(st.sampled_from(doc["certificates"]), label="colour")
     shift = Fraction(data.draw(st.sampled_from([-1, 1]), label="sign"),
                      data.draw(st.integers(1, 50), label="step"))
-    field = data.draw(st.sampled_from(["delta", "lambda", "clique"]), label="field")
+    field = data.draw(st.sampled_from(["delta", "lambda", "index", "clique"]),
+                      label="field")
     if field == "delta":
         d = cert["delta"]
         cert["delta"] = _rational(Fraction(int(d["num"]), int(d["den"])) + shift)
-    elif field == "lambda":
+    elif field in ("lambda", "index"):
+        # A vertex's lambda value moves: in place, for its whole cell, or as
+        # a value of its own that its index entry is pointed at.  Either way
+        # lambda no longer sums to 1.
+        values, index = cert["lambda"]["values"], cert["lambda"]["index"]
         i = data.draw(st.integers(0, g.n - 1), label="vertex")
-        w = Fraction(int(cert["lambda"][i]["num"]), int(cert["lambda"][i]["den"]))
-        cert["lambda"][i] = _rational(w + shift if w + shift >= 0 else w - shift)
+        d = values[index[i]]
+        w = Fraction(int(d["num"]), int(d["den"]))
+        moved = _rational(w + shift if w + shift >= 0 else w - shift)
+        if field == "lambda":
+            values[index[i]] = moved
+        else:
+            values.append(moved)
+            index[i] = len(values) - 1
     else:
         q = data.draw(st.sampled_from(cert["cliques"]), label="clique")
         i = data.draw(st.integers(0, len(q) - 1), label="position")

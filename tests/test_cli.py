@@ -121,13 +121,17 @@ def test_certify_check_mode_round_trips(tmp_path, capsys):
     "mutate",
     [
         lambda d: d["certificates"][0].update(delta={"num": "1", "den": "0"}),
-        lambda d: d["certificates"][0]["lambda"][0].update(num="one"),
+        lambda d: d["certificates"][0]["lambda"]["values"][0].update(num="one"),
         lambda d: d["certificates"][0]["cliques"].__setitem__(0, [0, 7]),
         lambda d: d["certificates"][0]["cliques"].__setitem__(0, [1, 1]),
         lambda d: d["certificates"][0]["cliques"].__setitem__(0, ["0", 1]),
         lambda d: d.update(certificates=[], pairwise=[]),
+        lambda d: d["certificates"][0]["lambda"]["index"].__setitem__(0, 5),
+        lambda d: d["certificates"][0]["mu"]["index"].__setitem__(0, True),
+        lambda d: d.update(format=3),
     ],
-    ids=["zero-den", "non-numeric", "out-of-range", "repeated", "string", "empty"],
+    ids=["zero-den", "non-numeric", "out-of-range", "repeated", "string", "empty",
+         "index-out-of-range", "index-bool", "unknown-format"],
 )
 def test_certify_check_rejects_malformed_documents_with_exit_one(
     tmp_path, capsys, mutate

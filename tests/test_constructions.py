@@ -122,20 +122,21 @@ def test_extremal_colours_match_the_pair_by_pair_reference():
 
 
 def test_integer_extremal_pairs_against_direct_scan():
-    expected = []
-    for k1 in range(2, 60):
-        for k2 in range(2, 60):
-            prod = (k1 - 1) * (k2 - 1)
-            root = isqrt(prod)
-            if root * root != prod:
-                continue
-            n = k1 + k2 - 2 + 2 * root
-            if n <= 40:
-                expected.append((n, k1, k2))
-    got = integer_extremal_pairs(40)
-    assert [(two_colour_lower(a, b), a, b) for a, b in got] == [
-        (n, a, b) for n, a, b in sorted(expected)
-    ]
+    for n_max in (-1, 0, 3, 4, 5, 40, 97, 200):
+        expected = []
+        for k1 in range(2, max(n_max, 60)):
+            for k2 in range(2, max(n_max, 60)):
+                prod = (k1 - 1) * (k2 - 1)
+                root = isqrt(prod)
+                if root * root != prod:
+                    continue
+                n = k1 + k2 - 2 + 2 * root
+                if n <= n_max:
+                    expected.append((n, k1, k2))
+        got = integer_extremal_pairs(n_max)
+        assert [(two_colour_lower(a, b), a, b) for a, b in got] == [
+            (n, a, b) for n, a, b in sorted(expected)
+        ]
 
 
 # --- multicolour blocks -----------------------------------------------------
