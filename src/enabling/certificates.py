@@ -32,7 +32,6 @@ version 1's plain lists, and re-checks every fact on the expanded vectors.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -44,7 +43,6 @@ from operator import and_
 from typing import Iterable, Sequence
 
 from .bounds import LemmaViolation, _sqrt_sum_squared, f_max, two_colour_lower
-from .constructions import _ceil_two_sqrt
 from .cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
@@ -53,7 +51,7 @@ from .cliques import (
     _check_targets,
     choose_family,
 )
-from .graphs import EdgeColouredGraph
+from .graphs import EdgeColouredGraph, canonical_json
 from .lp import LE, AuditFailure, solve_lp_exact
 
 __all__ = [
@@ -307,10 +305,8 @@ def two_colour_bound(k1: int, k2: int, delta1, delta2) -> Fraction:
     measure values delta1, delta2 of the two colours.
 
     Any d in [delta1, 1-delta2] yields a valid bound, so the maximum over
-    that interval is returned.  The objective is convex in d, hence the
-    maximum sits at an endpoint; the interior stationary point is evaluated
-    too when it is rational and feasible, which only matters when the
-    interval collapses to it.
+    that interval is returned.  The objective is convex in d, so that
+    maximum sits at an endpoint, delta1 or 1-delta2.
     """
     if k1 < 1 or k2 < 1:
         raise ValueError(f"clique targets must be positive, got ({k1}, {k2})")
@@ -320,17 +316,7 @@ def two_colour_bound(k1: int, k2: int, delta1, delta2) -> Fraction:
     if d1 + d2 > 1:
         raise ValueError(f"measure values sum to {d1 + d2} > 1")
     a, b = k1 - 1, k2 - 1
-
-    def h(d: Fraction) -> Fraction:
-        return Fraction(a, 1) / d + Fraction(b, 1) / (1 - d)
-
-    candidates = [d1, 1 - d2]
-    t, exact = _ceil_two_sqrt(a, b)
-    if a > 0 and b > 0 and exact:
-        stationary = Fraction(a, a + t // 2)
-        if d1 <= stationary <= 1 - d2:
-            candidates.append(stationary)
-    return max(h(d) for d in candidates)
+    return max(a / d + b / (1 - d) for d in (d1, 1 - d2))
 
 
 @dataclass(frozen=True)
@@ -407,7 +393,7 @@ class CertificationResult:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
 
 def _rat(x: Fraction) -> dict:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import bounds, certificates, constructions, lp
 from .cliques import ALL_CLIQUES, PER_VERTEX_LEX, verify_enabling
-from .graphs import EdgeColouredGraph, from_simple_graph
+from .graphs import EdgeColouredGraph, canonical_json, from_simple_graph
 from .search import _least_witness, exists_enabling
 
 __all__ = ["main"]
@@ -55,10 +55,6 @@ def _emit(text: str, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-
-
-def _canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _load_graph(path: str) -> EdgeColouredGraph:
@@ -138,14 +134,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "params": params,
         "label_map": label_map,
     }
-    _emit(_canonical(doc), args.output)
+    _emit(canonical_json(doc), args.output)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     report = verify_enabling(g, _parse_targets(args.targets))
-    _emit(_canonical(report.to_json_dict()), args.output)
+    _emit(canonical_json(report.to_json_dict()), args.output)
     if not report.ok:
         v, c = report.first_failure
         _log(f"not enabling: vertex {v} has no witness in colour {c}", error=True)
@@ -160,14 +156,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.check is not None:
         issues = certificates.check_certificate(g, _load_json(args.check))
-        _emit(_canonical({"ok": not issues, "issues": issues}), args.output)
+        _emit(canonical_json({"ok": not issues, "issues": issues}), args.output)
         for issue in issues:
             _log(issue, error=True)
         return 0 if not issues else 1
     result = certificates.certify(
         g, _parse_targets(args.targets), policy=_POLICIES[args.policy or "all"]
     )
-    _emit(_canonical(result.to_json_dict()), args.output)
+    _emit(canonical_json(result.to_json_dict()), args.output)
     return 0
 
 
@@ -178,7 +174,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     else:
         r, k = args.multicolour
         report = bounds.multicolour_report(r, k)
-    _emit(_canonical(report.to_json_dict()), args.output)
+    _emit(canonical_json(report.to_json_dict()), args.output)
     return 0
 
 
@@ -205,7 +201,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         }
         if hit is None:
             doc["reason"] = "exceeds n_max"
-        _emit(_canonical(doc), args.output)
+        _emit(canonical_json(doc), args.output)
         if hit is not None and args.witness_out is not None:
             _write_witness(report, args.witness_out)
         return 0 if hit is not None else 1
@@ -213,7 +209,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ValueError("existence mode needs --n (or use --min-n with --n-max)")
     report = exists_enabling(args.n, args.k1, args.k2, progress=progress)
-    _emit(_canonical(report.to_json_dict(include_timings=args.timings)), args.output)
+    _emit(canonical_json(report.to_json_dict(include_timings=args.timings)), args.output)
     if report.found and args.witness_out is not None:
         _write_witness(report, args.witness_out)
     return 0 if report.found else 1

@@ -12,7 +12,6 @@ their own stack, so k is not bounded by Python's recursion limit.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
@@ -20,7 +19,7 @@ from itertools import repeat
 from operator import and_, ge
 from typing import Mapping, Optional, Sequence
 
-from .graphs import EdgeColouredGraph
+from .graphs import EdgeColouredGraph, canonical_json
 
 __all__ = [
     "ALL_CLIQUES",
@@ -182,7 +181,7 @@ class EnablingReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
 
 def _check_targets(g: EdgeColouredGraph, targets: Sequence[tuple[int, int]]) -> None:

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "EdgeColouredGraph",
     "build",
+    "canonical_json",
     "from_simple_graph",
     "monochromatic_complete",
     "pair_count",
@@ -23,6 +24,11 @@ __all__ = [
     "pairs",
     "vertex_set",
 ]
+
+
+def canonical_json(doc) -> str:
+    """The one JSON spelling every document uses: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def pair_count(n: int) -> int:
@@ -160,7 +166,7 @@ class EdgeColouredGraph:
         return {"n": self.n, "r": self.r, "colours": list(self.colours)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EdgeColouredGraph":

@@ -5,16 +5,18 @@ rhs >= 0.  That is the packing shape of the clique-measure LP: x = 0 is
 feasible, so the all-slack basis starts a single run of the tableau simplex
 with Bland's pivot rule (smallest eligible index, ties by smallest basic
 variable), which terminates on degenerate problems.  The tableau is sparse
-and fraction-free: each row, and the objective row, is a dict of its nonzero
-integer numerators over its own positive denominator in lowest terms, and a
-pivot touches only the nonzeros of the rows with a nonzero in the pivot
-column.  Nothing is rounded.
+and fraction-free: each row is a dict of its nonzero integer numerators over
+its own positive denominator in lowest terms.  The objective is the last
+row: a pivot eliminates it like any other row, and the duals are read from
+it at the slack columns.  A pivot touches only the nonzeros of the rows
+with a nonzero in the pivot column.  Nothing is rounded.
 
 Every solve re-checks its own answer against the input rows, never the
 tableau: ``_certify_optimal`` verifies primal feasibility, dual signs, dual
 feasibility and strong duality with integer dot products over the
-nonzeros, and raises AuditFailure, which ``python -O`` keeps.  The same
-checks run at full size in ``certificates``, on the clique/vertex shape.
+nonzeros, and raises AuditFailure, which ``python -O`` keeps, so a solve
+that returns has passed its audit.  The same checks run at full size in
+``certificates``, on the clique/vertex shape.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ __all__ = [
 ]
 
 LE = "<="
-
-# Running tally of solves and of solves whose primal/dual pair passed the
-# independent optimality audit.  The two counts must always agree.
-SOLVE_STATS = {"solves": 0, "certified": 0}
 
 
 class LPError(Exception):
@@ -104,11 +102,7 @@ def solve_lp_exact(objective: Sequence, constraints: Sequence[Constraint]) -> LP
     problem = _integerise(c, constraints)
     x, y = _simplex(problem)
     value = sum((a * xi for a, xi in zip(c, x) if a), Fraction(0))
-    # An unbounded run raises above and is not a solve; any completed solve
-    # must certify, so the two counters stay equal.
-    SOLVE_STATS["solves"] += 1
     _certify_optimal(problem, x, y, value)
-    SOLVE_STATS["certified"] += 1
     return LPSolution(value, tuple(x), tuple(y))
 
 
@@ -121,10 +115,7 @@ def _integerise(c: list[int | Fraction], constraints: Sequence[Constraint]) -> _
     rhs: list[int] = []
     dens: list[int] = []
     for coeffs, rel, b in constraints:
-        # _rational, inlined: this runs once per coefficient.
-        coeffs = [
-            x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs
-        ]
+        coeffs = [_rational(x) for x in coeffs]
         if len(coeffs) != nvars:
             raise ValueError(
                 f"constraint has {len(coeffs)} coefficients, expected {nvars}"
@@ -147,35 +138,62 @@ def _simplex(problem: _Problem) -> tuple[list[Fraction], list[Fraction]]:
     nvars = len(c)
     m = len(problem.rows)
 
-    # Column layout: structural, one slack per row, rhs.  Every rhs is >= 0,
-    # so the slacks form a feasible starting basis and the objective row
-    # starts as -c.
-    rhs_col = nvars + m
-    tab: list[dict[int, int]] = []
+    # Column layout: structural, one slack per row, rhs.  Rows 0..m-1 are the
+    # constraints; row m is the objective, which starts as -c.  Every rhs is
+    # >= 0, so the slacks form a feasible starting basis.
+    rc = nvars + m
+    rows: list[dict[int, int]] = []
     for i, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
-        row = dict(row)
+        row = {**row, nvars + i: 1}
         if b:
-            row[rhs_col] = b
-        row[nvars + i] = 1
-        tab.append(row)
-    zrow = {j: -cj for j, cj in enumerate(c) if cj}
-    state = _Tableau(tab, list(range(nvars, rhs_col)), rhs_col, zrow)
+            row[rc] = b
+        rows.append(row)
+    rows.append({j: -cj for j, cj in enumerate(c) if cj})
+    dens = [1] * (m + 1)
+    basis = list(range(nvars, rc))
 
-    _bland_loop(state)
+    for _ in range(20000 + 200 * (m + rc)):
+        enter = min((j for j, a in rows[m].items() if a < 0 and j < rc), default=-1)
+        if enter < 0:
+            break
+        # Bland ratio test: smallest rhs/entry over positive entries, ties by
+        # smallest basic variable.  Row denominators cancel in the ratio.
+        # The starting ratio lb/la = 1/0 loses to any row.
+        leave, lb, la = -1, 1, 0
+        for i in range(m):
+            a = rows[i].get(enter, 0)
+            if a <= 0:
+                continue
+            b = rows[i].get(rc, 0)
+            diff = b * la - lb * a
+            if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                leave, lb, la = i, b, a
+        if leave < 0:
+            raise Unbounded(f"objective unbounded along column {enter}")
+        if la <= 0:
+            raise LPError("pivot element is not positive")
+        # The pivot row divided by its entry: numerators over la, whatever
+        # the row's own denominator was.
+        prow, p = _reduce(rows[leave], la)
+        rows[leave], dens[leave] = prow, p
+        for i, row in enumerate(rows):
+            f = row.get(enter)
+            if f and i != leave:
+                rows[i], dens[i] = _eliminate(row, dens[i], prow, p, f)
+        basis[leave] = enter
+    else:
+        raise LPError("pivot limit exceeded")
 
     # Primal values of the structural variables.
     x = [Fraction(0)] * nvars
-    for i, row in enumerate(state.rows):
-        if state.basis[i] < nvars:
-            x[state.basis[i]] = Fraction(row.get(rhs_col, 0), state.dens[i])
+    for i in range(m):
+        if basis[i] < nvars:
+            x[basis[i]] = Fraction(rows[i].get(rc, 0), dens[i])
 
-    # Dual of row i is the reduced cost at its slack column, mapped back
-    # through the row scaling and the objective scaling.
-    y = [
-        Fraction(state.zrow.get(nvars + i, 0) * problem.den[i],
-                 state.zden * problem.c_den)
-        for i in range(m)
-    ]
+    # Dual of row i is the objective row's entry at its slack column, mapped
+    # back through the row scaling and the objective scaling.
+    z, zden = rows[m], dens[m] * problem.c_den
+    y = [Fraction(z.get(nvars + i, 0) * problem.den[i], zden) for i in range(m)]
     return x, y
 
 
@@ -203,76 +221,6 @@ def _eliminate(
         else:
             del new[j]
     return _reduce(new, den * pden)
-
-
-class _Tableau:
-    """Sparse integer rows, each over its own positive denominator, and the
-    objective row over its own."""
-
-    def __init__(
-        self, rows: list[dict[int, int]], basis: list[int], rhs_col: int,
-        zrow: dict[int, int],
-    ):
-        self.rows = rows
-        self.dens = [1] * len(rows)
-        self.basis = basis
-        self.rhs_col = rhs_col
-        self.zrow = zrow
-        self.zden = 1
-
-    def pivot(self, r: int, col: int) -> None:
-        prow = self.rows[r]
-        p = prow.get(col, 0)
-        # The ratio test only picks positive entries, and every row
-        # denominator is positive.
-        if p <= 0:
-            raise LPError("pivot element is not positive")
-        # The pivot row divided by its entry: numerators over p.
-        prow, p = _reduce(prow, p)
-        self.rows[r] = prow
-        self.dens[r] = p
-        for i, row in enumerate(self.rows):
-            f = row.get(col)
-            if f and i != r:
-                self.rows[i], self.dens[i] = _eliminate(row, self.dens[i], prow, p, f)
-        f = self.zrow.get(col)
-        if f:
-            self.zrow, self.zden = _eliminate(self.zrow, self.zden, prow, p, f)
-        self.basis[r] = col
-
-
-def _choose_row(state: _Tableau, col: int) -> int | None:
-    """Bland ratio test: smallest rhs/entry over positive entries, ties by
-    smallest basic variable index.  Row denominators cancel in the ratio."""
-    best = None
-    rc = state.rhs_col
-    for i, row in enumerate(state.rows):
-        a = row.get(col, 0)
-        if a <= 0:
-            continue
-        b = row.get(rc, 0)
-        if best is None:
-            best = (i, b, a)
-            continue
-        _, bb, ba = best
-        diff = b * ba - bb * a
-        if diff < 0 or (diff == 0 and state.basis[i] < state.basis[best[0]]):
-            best = (i, b, a)
-    return None if best is None else best[0]
-
-
-def _bland_loop(state: _Tableau) -> None:
-    limit = 20000 + 200 * (len(state.rows) + state.rhs_col)
-    rc = state.rhs_col
-    for _ in range(limit):
-        enter = min((j for j, a in state.zrow.items() if a < 0 and j < rc), default=-1)
-        if enter < 0:
-            return
-        leave = _choose_row(state, enter)
-        if leave is None:
-            raise Unbounded(f"objective unbounded along column {enter}")
-        state.pivot(leave, enter)
-    raise LPError("pivot limit exceeded")
 
 
 def _certify_optimal(

@@ -23,7 +23,6 @@ counters do not depend on the field widths.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -31,7 +30,7 @@ from typing import Callable, Optional
 
 from .bounds import LemmaViolation, two_colour_lower
 from .cliques import verify_enabling
-from .graphs import from_simple_graph, pairs as graph_pairs
+from .graphs import canonical_json, from_simple_graph, pairs as graph_pairs
 
 __all__ = ["SearchReport", "exists_enabling", "min_n"]
 
@@ -72,9 +71,7 @@ class SearchReport:
         return doc
 
     def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(
-            self.to_json_dict(include_timings), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_json_dict(include_timings))
 
 
 def _span_degrees(pairs: list[tuple[int, int]], lo: int, width: int) -> list[int]:

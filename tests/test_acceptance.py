@@ -4,9 +4,6 @@ Each test prints exactly one pass or fail line, so a full run reads as an
 eight line report.  Run with ``pytest tests/test_acceptance.py -s`` to see
 the lines as they complete; under default capture they still appear in the
 captured-output section of any failure.
-
-The tests are ordered so that the LP bookkeeping check at the end observes
-the solves performed by the certificate sweeps earlier in the same process.
 """
 
 import json
@@ -17,6 +14,7 @@ from fractions import Fraction
 
 import enabling.lp as lp
 from enabling import (
+    ALL_CLIQUES,
     PER_VERTEX_LEX,
     certify,
     check_certificate,
@@ -197,7 +195,6 @@ def test_criterion_6_quadratic_bound_machinery_is_sound():
 
 
 def test_criterion_8_certificate_at_eight_hundred_vertices():
-    # Before criterion 7, so that its ledger counts these solves too.
     with criterion(8) as info:
         notes = []
         for k, n in ((201, 800), (251, 1000), (501, 2000)):
@@ -220,15 +217,45 @@ def test_criterion_8_certificate_at_eight_hundred_vertices():
         )
 
 
-def test_criterion_7_every_lp_solve_self_certified():
+def test_criterion_7_every_lp_solve_self_certified(monkeypatch):
     with criterion(7) as info:
-        if lp.SOLVE_STATS["solves"] == 0:
-            # Standalone invocation: put at least one solve on the books.
-            certify(p4_blowup(4), ((0, 2), (1, 2)))
-        solves = lp.SOLVE_STATS["solves"]
-        certified = lp.SOLVE_STATS["certified"]
-        assert solves == certified > 0, lp.SOLVE_STATS
+        log = []
+        simplex, audit = lp._simplex, lp._certify_optimal
+
+        def spy_simplex(problem):
+            x, y = simplex(problem)
+            log.append(("simplex", x, y))
+            return x, y
+
+        def spy_audit(problem, x, y, value):
+            log.append(("audit", x, y))
+            audit(problem, x, y, value)
+            log.append(("passed", x, y))
+
+        monkeypatch.setattr(lp, "_simplex", spy_simplex)
+        monkeypatch.setattr(lp, "_certify_optimal", spy_audit)
+        cases = [(p4_blowup(n), ((0, n // 4 + 1), (1, n // 4 + 1))) for n in range(4, 16)]
+        cases += [
+            (multicolour_blocks(r, k), tuple((c, k) for c in range(r)))
+            for r in (2, 3, 4) for k in (2, 3, 4, 5)
+        ]
+        cases += [(prime_slope(p), tuple((c, p) for c in range(p + 1))) for p in (2, 3, 5)]
+        cases += [
+            (two_colour_extremal(k1, k2), ((0, k1), (1, k2)))
+            for k1, k2 in integer_extremal_pairs(40)
+        ]
+        for g, targets in cases:
+            certify(g, targets, policy=PER_VERTEX_LEX)
+            if g.n <= 20:
+                certify(g, targets, policy=ALL_CLIQUES)
+        # Each simplex answer is followed by one audit of that same (x, y),
+        # which passes, before the next solve starts.
+        assert log and len(log) % 3 == 0
+        for i in range(0, len(log), 3):
+            (s, x, y), (a, ax, ay), (p, px, py) = log[i : i + 3]
+            assert (s, a, p) == ("simplex", "audit", "passed"), log[i : i + 3]
+            assert ax is x and ay is y and px is x and py is y
         info["note"] = (
-            f"{solves} exact LP solves this session, all {certified} "
-            f"certified optimal against their duals"
+            f"{len(log) // 3} exact LP solves over {len(cases)} graphs, "
+            f"each audited once on its own answer and passed"
         )

@@ -269,6 +269,27 @@ def test_two_colour_bound_is_endpoint_maximum():
     assert two_colour_bound(3, 9, F(1, 3), F(2, 3)) == 18
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    k1=st.integers(1, 60),
+    k2=st.integers(1, 60),
+    data=st.data(),
+)
+def test_two_colour_bound_is_the_larger_endpoint_value(k1, k2, data):
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=200)
+    d1 = data.draw(unit.filter(lambda d: 0 < d < 1), label="delta1")
+    collapsed = data.draw(st.booleans(), label="collapsed")
+    d2 = 1 - d1 if collapsed else data.draw(
+        unit.filter(lambda d: 0 < d <= 1 - d1), label="delta2"
+    )
+    h = lambda d: F(k1 - 1) / d + F(k2 - 1) / (1 - d)
+    got = two_colour_bound(k1, k2, d1, d2)
+    assert got == max(h(d1), h(1 - d2))
+    # h is convex, so no point of the interval beats the larger endpoint.
+    t = data.draw(unit, label="t")
+    assert got >= h(d1 + t * (1 - d2 - d1))
+
+
 def test_two_colour_bound_validates_inputs():
     with pytest.raises(ValueError):
         two_colour_bound(2, 2, F(2, 3), F(2, 3))

@@ -80,9 +80,7 @@ def test_certify_failed_lp_audit_is_exit_three(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "construct", "--family", "p4", "--params", "4")
     path = tmp_path / "p4.json"
     path.write_text(out)
-    # A zero dual vector cannot cover a positive objective.  The failed
-    # solve goes to a private tally, so the session-wide one stays equal.
-    monkeypatch.setattr(lp, "SOLVE_STATS", {"solves": 0, "certified": 0})
+    # A zero dual vector cannot cover a positive objective.
     monkeypatch.setattr(
         lp, "_simplex",
         lambda problem: ([F(0)] * len(problem.c), [F(0)] * len(problem.rows)),

@@ -79,6 +79,7 @@ def test_beale_degenerate_instance_terminates():
     )
     assert sol.value == F(1, 20)
     assert sol.primal == (F(1, 25), F(0), F(1), F(0))
+    assert sol.dual == (F(0), F(3, 2), F(1, 20))
 
 
 def test_unbounded_objective_raises():
@@ -107,19 +108,41 @@ REFUSED = [
 ]
 
 
+def _spy(monkeypatch):
+    """Log each call of lp._simplex and lp._certify_optimal: ("simplex", x, y)
+    for each answer, ("audit", x, y) as each audit starts and ("passed", x, y)
+    as it returns."""
+    log = []
+    simplex, audit = lp._simplex, lp._certify_optimal
+
+    def spy_simplex(problem):
+        x, y = simplex(problem)
+        log.append(("simplex", x, y))
+        return x, y
+
+    def spy_audit(problem, x, y, value):
+        log.append(("audit", x, y))
+        audit(problem, x, y, value)
+        log.append(("passed", x, y))
+
+    monkeypatch.setattr(lp, "_simplex", spy_simplex)
+    monkeypatch.setattr(lp, "_certify_optimal", spy_audit)
+    return log
+
+
 @pytest.mark.parametrize("constraints, match", REFUSED)
-def test_rows_outside_the_packing_shape_are_refused(constraints, match):
-    before = dict(lp.SOLVE_STATS)
+def test_rows_outside_the_packing_shape_are_refused(constraints, match, monkeypatch):
+    log = _spy(monkeypatch)
     with pytest.raises(ValueError, match=match):
         solve_lp_exact([1], constraints)
-    assert lp.SOLVE_STATS == before
+    assert log == []
 
 
-def test_there_is_no_minimise_switch():
-    before = dict(lp.SOLVE_STATS)
+def test_there_is_no_minimise_switch(monkeypatch):
+    log = _spy(monkeypatch)
     with pytest.raises(TypeError):
         solve_lp_exact([1], [([1], LE, 1)], maximize=False)
-    assert lp.SOLVE_STATS == before
+    assert log == []
 
 
 def test_duals_satisfy_signs_and_strong_duality():
@@ -130,13 +153,17 @@ def test_duals_satisfy_signs_and_strong_duality():
     assert sum(y * F(b) for y, (_, _, b) in zip(sol.dual, cons)) == sol.value
 
 
-def test_solve_stats_count_each_solve_once():
-    before = dict(lp.SOLVE_STATS)
-    solve_lp_exact([1], [([1], LE, 5)])
-    solve_lp_exact([F(1, 2), 1], [([1, 1], LE, 9), ([1, 0], LE, 2)])
-    after = lp.SOLVE_STATS
-    assert after["solves"] == before["solves"] + 2
-    assert after["certified"] == after["solves"]
+def test_each_solve_is_audited_once_on_its_own_answer(monkeypatch):
+    log = _spy(monkeypatch)
+    sols = [
+        solve_lp_exact([1], [([1], LE, 5)]),
+        solve_lp_exact([F(1, 2), 1], [([1, 1], LE, 9), ([1, 0], LE, 2)]),
+    ]
+    assert [kind for kind, _, _ in log] == ["simplex", "audit", "passed"] * 2
+    for sol, solve in zip(sols, (log[:3], log[3:])):
+        (_, x, y), *audit = solve
+        assert all(ax is x and ay is y for _, ax, ay in audit)
+        assert sol.primal == tuple(x) and sol.dual == tuple(y)
 
 
 # --- randomised cross-check against the vertex oracle ------------------------
@@ -239,12 +266,13 @@ def test_audit_rejects_wrong_solutions(x, y, value, match):
 
 
 def test_wrong_simplex_answer_fails_the_solve(monkeypatch):
-    # A private tally, so the session-wide one keeps solves == certified.
-    monkeypatch.setattr(lp, "SOLVE_STATS", {"solves": 0, "certified": 0})
-    monkeypatch.setattr(lp, "_simplex", lambda problem: (AUDIT_X, [F(0)] * 3))
+    wrong = (AUDIT_X, [F(0)] * 3)
+    monkeypatch.setattr(lp, "_simplex", lambda problem: wrong)
+    log = _spy(monkeypatch)
     with pytest.raises(AuditFailure, match="dual constraint violated"):
         solve_lp_exact(AUDIT_OBJECTIVE, AUDIT_ROWS)
-    assert lp.SOLVE_STATS == {"solves": 1, "certified": 0}
+    # The wrong answer reached the audit once and did not pass it.
+    assert log == [("simplex", *wrong), ("audit", *wrong)]
 
 
 def test_audit_survives_optimisation_flag():
@@ -266,11 +294,21 @@ def test_audit_survives_optimisation_flag():
             else:
                 print("accepted")
         lp._simplex = lambda problem: ({AUDIT_X!r}, [Fraction(0)] * 3)
+        audit, audits = lp._certify_optimal, []
+
+        def spy(problem, x, y, value):
+            audits.append("audited")
+            audit(problem, x, y, value)
+            audits.append("passed")
+
+        lp._certify_optimal = spy
         try:
             lp.solve_lp_exact({AUDIT_OBJECTIVE!r}, rows)
         except lp.AuditFailure as exc:
             print("rejected:", exc)
-        print(lp.SOLVE_STATS)
+        else:
+            print("returned")
+        print(audits)
         """
     )
     src = os.path.dirname(os.path.dirname(lp.__file__))
@@ -284,4 +322,4 @@ def test_audit_survives_optimisation_flag():
     for line, (_, _, _, match) in zip(out, AUDIT_CASES):
         assert line.startswith("rejected: ") and match in line
     assert out[-2] == "rejected: dual constraint violated"
-    assert out[-1] == "{'solves': 1, 'certified': 0}"
+    assert out[-1] == "['audited']"
