@@ -6,8 +6,13 @@ take one such walk per colour, pruned to the vertices still uncovered: each
 vertex gets the first clique that contains it, its lexicographically
 smallest.  That walk records each witness once, when it is first reached,
 so its list is already the per-vertex-lex family, sorted and distinct, and
-the witness report and the family are both read from it.  Both walks keep
-their own stack, so k is not bounded by Python's recursion limit.
+the witness report and the family are both read from it.  The witness walk
+skips what cannot give a new witness: the sibling of a smallest candidate
+adjacent to all the others (a swap puts each of its cliques' vertices in a
+smaller clique under that candidate), children with too few candidates or
+no uncovered vertex, and the last level, whose cliques it reads off in
+closed form.  Both walks keep their own stack, so k is not bounded by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -44,10 +49,11 @@ class NotEnabling(ValueError):
 def _members(mask: int) -> list[int]:
     """The vertices of a bitmask, ascending."""
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    while mask:  # from the top: bit_length then one xor beats mask & -mask
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    out.reverse()
     return out
 
 
@@ -58,14 +64,28 @@ def _lex_witnesses(
     distinct ones in lexicographic order, and each vertex's index among them,
     -1 for a vertex not wanted or in no such clique.
 
-    One depth-first walk on its own stack, always extending by the smallest
-    candidate, visits the cliques within the wanted vertices' closed
-    neighbourhoods in lexicographic order.  It prunes a node with too few
-    candidates, or whose chosen vertices and candidates hold no vertex of
+    One depth-first walk, always extending by the smallest candidate, visits
+    the cliques within the wanted vertices' closed neighbourhoods in
+    lexicographic order.  A node is live while it has at least ``need``
+    candidates and its chosen vertices and candidates hold a vertex of
     ``left``, the wanted vertices still without a witness.  As ``left`` only
     shrinks, each clique reached is the first one containing each vertex of
     ``left`` in it: they take it as their witness and leave.  So every clique
-    recorded is new, and the list comes out sorted.
+    recorded is new, and the list comes out sorted.  Four rules cut steps:
+
+    - If ``need >= 2`` and the smallest candidate w is adjacent to every
+      other candidate, the walk takes w and drops the sibling branch.  Take
+      a clique in that branch and a vertex v of it: putting w in place of a
+      member other than v gives a lexicographically smaller clique through
+      v under w, so v has left before the sibling is reached.
+    - A child that is not live is skipped for the next candidate at the
+      same level, with nothing pushed or popped.
+    - With ``need == 1`` every candidate completes a clique: the first
+      one's serves the chosen vertices and it, each later one only itself.
+    - A node with exactly ``need`` candidates is a leaf, one clique test.
+
+    The stack holds the live siblings still to visit, each with its depth,
+    mask and union, so k is not bounded by Python's recursion limit.
     """
     if k < 1:
         raise ValueError(f"clique size must be positive, got {k}")
@@ -77,38 +97,59 @@ def _lex_witnesses(
         for v in _members(wanted):
             cand |= adj[v]
     chosen: list[int] = []
-    stack: list[int] = []  # the candidates left at each level above
+    stack: list[tuple[int, int, int, int]] = []  # (depth, cand, mask | cand, mask)
+    size = cand.bit_count()
+    live = size >= need and cand & left
     while True:
-        if not need:
-            cand = 0  # chosen is a clique
-        size = cand.bit_count()
-        if size >= need and (mask | cand) & left:
-            if size > need:
+        if live:
+            if need > 1 and size > need:
                 low = cand & -cand
-                cand ^= low  # now only vertices after the one chosen
-                stack.append(cand)
+                cand ^= low  # now only vertices after w
+                size -= 1
                 w = low.bit_length() - 1
+                sub = cand & adj[w]
+                if sub != cand:  # w misses a candidate: the sibling may matter
+                    count = sub.bit_count()
+                    if count < need - 1 or not (mask | low | sub) & left:
+                        live = (mask | cand) & left  # w's child is dead
+                        continue
+                    if (mask | cand) & left:
+                        stack.append((len(chosen), cand, mask | cand, mask))
+                    cand, size = sub, count
                 chosen.append(w)
                 mask |= low
-                cand &= adj[w]
                 need -= 1
                 continue
-            # The only clique below takes every candidate, if they are
-            # pairwise adjacent: each closed neighbourhood holds them all.
-            rest = _members(cand)
-            if reduce(and_, map(closed.__getitem__, rest), cand) == cand:
-                hits = (mask | cand) & left
-                left ^= hits
-                for v in _members(hits):
+            if need == 1:
+                low = cand & -cand
+                hits = (mask | low) & left
+                if hits:
+                    left ^= hits
+                    for v in _members(hits):
+                        index[v] = len(cliques)
+                    cliques.append((*chosen, low.bit_length() - 1))
+                for v in _members(cand & left):
                     index[v] = len(cliques)
-                cliques.append((*chosen, *rest))
-                if not left:
-                    break
-        if not stack:
+                    cliques.append((*chosen, v))
+                left &= ~cand
+            else:
+                rest = _members(cand)
+                if reduce(and_, map(closed.__getitem__, rest), cand) == cand:
+                    hits = (mask | cand) & left
+                    left ^= hits
+                    for v in _members(hits):
+                        index[v] = len(cliques)
+                    cliques.append((*chosen, *rest))
+            if not left:
+                break
+        while stack:
+            depth, cand, union, mask = stack.pop()
+            if union & left:
+                break
+        else:
             break
-        cand = stack.pop()
-        mask ^= 1 << chosen.pop()
-        need += 1
+        del chosen[depth:]
+        need, size, live = k - depth, cand.bit_count(), True
     return cliques, index
 
 

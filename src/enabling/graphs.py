@@ -3,14 +3,17 @@
 The colour of every unordered pair {u, v} is stored in a fixed
 upper-triangular order: (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1).
 All lookups are exact integer operations; the JSON form round-trips
-byte-for-byte.  Neighbour bitmasks of every colour come from one byte matrix
-of pair colours per graph, one ``translate`` and n ``int(row, 2)`` a colour.
+byte-for-byte.  Neighbour bitmasks of every colour but the last come from
+one byte matrix of pair colours per graph, one ``translate`` and n
+``int(row, 2)`` a colour; the last colour's are what the others leave, as
+every pair has exactly one colour.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -120,23 +123,30 @@ class EdgeColouredGraph:
     def adjacency(self, colour: int) -> tuple[int, ...]:
         """Per-vertex neighbour bitmasks of one colour class, cached.
 
-        Below 256 colours the first call reads every colour from one
-        ``_pair_matrix``; from 256 on, its diagonal byte 255 could be a
-        colour, so each colour gets a matrix of its own 0/1 flags."""
+        Below 256 colours the first call reads colours 0..r-2 from one
+        ``_pair_matrix``, one ``translate`` and n ``int(row, 2)`` a colour,
+        and gives the last colour what they leave: every pair has exactly
+        one colour.  From 256 on, the diagonal byte 255 could be a colour,
+        so each colour gets a matrix of its own 0/1 flags."""
         if not 0 <= colour < self.r:
             raise ValueError(f"colour {colour} outside range 0..{self.r - 1}")
         cache = self._adjacency
         if colour not in cache:
-            n = self.n
-            if self.r < 256:
-                codes, wanted = bytes(self.colours), {c: c for c in range(self.r)}
+            n, r = self.n, self.r
+            if r < 256:
+                codes, wanted = bytes(self.colours), {c: c for c in range(r - 1)}
             else:
                 codes, wanted = bytes(c == colour for c in self.colours), {colour: 1}
             matrix = _pair_matrix(n, codes)
+            # The last colour's rows, built lazily: read only below 256.
+            rest = (((1 << n) - 1) ^ (1 << u) for u in range(n))
             for c, code in wanted.items():
                 # As ASCII digits, int(row, 2) has bit v set where (u, v) has c.
                 digits = matrix.translate(b"0" * code + b"1" + b"0" * (255 - code))
                 cache[c] = tuple(int(digits[i : i + n], 2) for i in range(0, n * n, n))
+                rest = map(xor, rest, cache[c])
+            if r < 256:
+                cache[r - 1] = tuple(rest)
         return cache[colour]
 
     def is_monochromatic_clique(self, members: Iterable[int], colour: int) -> bool:

@@ -168,10 +168,8 @@ def _simplex(problem: _Problem) -> tuple[list[Fraction], list[Fraction]]:
             diff = b * la - lb * a
             if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                 leave, lb, la = i, b, a
-        if leave < 0:
+        if leave < 0:  # otherwise la > 0: only positive entries are kept
             raise Unbounded(f"objective unbounded along column {enter}")
-        if la <= 0:
-            raise LPError("pivot element is not positive")
         # The pivot row divided by its entry: numerators over la, whatever
         # the row's own denominator was.
         prow, p = _reduce(rows[leave], la)

@@ -15,8 +15,20 @@ from enabling.cliques import (
     find_clique_containing,
     verify_enabling,
 )
-from enabling.constructions import integer_extremal_pairs, prime_slope, two_colour_extremal
-from enabling.graphs import build, monochromatic_complete, pair_count, pair_index, pairs
+from enabling.constructions import (
+    integer_extremal_pairs,
+    p4_blowup,
+    prime_slope,
+    two_colour_extremal,
+)
+from enabling.graphs import (
+    build,
+    from_simple_graph,
+    monochromatic_complete,
+    pair_count,
+    pair_index,
+    pairs,
+)
 
 
 def p4_graph():
@@ -371,3 +383,46 @@ def test_walk_yields_the_family_of_the_reference_witnesses_on_the_sweep():
         g = relabelled(two_colour_extremal(k1, k2), 3)
         assert_walk_matches_reference(g, 0, k1, (1 << g.n) - 1)
         assert_walk_matches_reference(g, 1, k2, (1 << g.n) - 1)
+
+
+def everyone_and_the_last(n):
+    """Every vertex wanted, then only the last one."""
+    return (1 << n) - 1, 1 << (n - 1)
+
+
+def test_walk_matches_the_reference_where_every_candidate_is_universal():
+    # Each skipped sibling branch here still holds cliques, all of them
+    # through vertices already covered.
+    for n in range(1, 21):
+        g = monochromatic_complete(n)
+        for k in range(1, n + 2):
+            for wanted in everyone_and_the_last(n):
+                assert_walk_matches_reference(g, 0, k, wanted)
+
+
+def test_walk_matches_the_reference_on_p4_blowups():
+    for n in range(4, 31):
+        g = p4_blowup(n)
+        for colour in (0, 1):
+            for k in range(1, n // 4 + 3):
+                for wanted in everyone_and_the_last(n):
+                    assert_walk_matches_reference(g, colour, k, wanted)
+
+
+def test_walk_matches_the_reference_on_relabelled_extremal_graphs():
+    for k1, k2 in integer_extremal_pairs(60):
+        g = relabelled(two_colour_extremal(k1, k2), 5)
+        for colour, k in ((0, k1), (1, k2)):
+            for wanted in everyone_and_the_last(g.n):
+                assert_walk_matches_reference(g, colour, k, wanted)
+
+
+def test_a_sibling_without_wanted_candidates_still_serves_a_chosen_vertex():
+    # With 0 chosen, the branch under 1 holds no clique ({2, 3} is not an
+    # edge), so 0's witness is in the sibling branch, whose candidates
+    # 2..5 are none of them wanted.
+    g = from_simple_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+                              (1, 2), (1, 3), (3, 4), (3, 5), (4, 5)])
+    assert find_clique_containing(g, 0, 0, 4) == (0, 3, 4, 5)
+    for wanted in (1, (1 << 6) - 1):
+        assert_walk_matches_reference(g, 0, 4, wanted)

@@ -122,6 +122,33 @@ def test_adjacency_matches_a_pair_by_pair_reference(case):
         assert g.adjacency(c) == reference_adjacency(n, colours, c)
 
 
+def adjacency_from_colour_of(g, c):
+    """Neighbour bitmasks of colour c, one colour_of lookup a pair."""
+    return tuple(
+        sum(1 << v for v in range(g.n) if v != u and g.colour_of(u, v) == c)
+        for u in range(g.n)
+    )
+
+
+@given(st.integers(1, 30), st.integers(1, 5), st.data())
+def test_every_colour_including_the_last_matches_colour_of(n, r, data):
+    """The last colour's rows are what the other colours leave; asked for
+    first or last, they match a pair-by-pair construction."""
+    colours = data.draw(
+        st.lists(st.integers(0, r - 1), min_size=pair_count(n), max_size=pair_count(n))
+    )
+    g = build(n, r, colours)
+    for c in data.draw(st.permutations(range(r))):
+        assert g.adjacency(c) == adjacency_from_colour_of(g, c)
+
+
+def test_each_colour_at_256_colours_matches_colour_of():
+    rng = random.Random(256)
+    g = build(24, 256, [rng.randrange(256) for _ in range(pair_count(24))])
+    for c in (0, 1, 254, 255, *g.colours[:5]):
+        assert g.adjacency(c) == adjacency_from_colour_of(g, c)
+
+
 @pytest.mark.parametrize("r", [2, 255, 256, 300])
 def test_adjacency_fills_one_matrix_per_graph_in_any_order(r, monkeypatch):
     """Every colour, asked for in a shuffled order and twice over, matches
