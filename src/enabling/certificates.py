@@ -14,7 +14,8 @@ no measure can beat delta.
 One exact LP per colour gives both: max delta subject to lam(C) >= delta
 for every C and sum(lam) <= 1, whose clique duals, normalised, are mu.  It
 is solved on the quotient of the colour-refinement partition of the
-vertex-clique incidence; the lifted solution is audited at full size on the
+vertex-clique incidence, whose cells are told apart by exact count codes,
+never by hashes; the lifted solution is audited at full size on the
 clique/vertex shape, in integers, so soundness never rests on the reduction.
 
 ``certify`` runs the full pipeline for every target colour of a graph,
@@ -37,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from math import ceil, lcm
 from operator import and_
 from typing import Iterable, Sequence
@@ -137,13 +138,14 @@ def _mask(vertices: Iterable[int]) -> int:
 def _refine(n: int, cliques: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """Coarsest equitable partition of the vertex-clique incidence, as a cell
     per vertex and per clique, by colour refinement: from one cell per side,
-    split the sides in turn by each member's cell and the sorted multiset of
-    its neighbours' cells, until a split leaves its side's count unchanged.
-    Multisets are compared whole, never by a hash, so a collision cannot
-    leave a cell whose members see different counts.  The first split is by
-    clique size and, if that leaves one clique cell, the second by how many
-    cliques hold each vertex, so both are taken in closed form.  Cells are
-    numbered by first appearance either way."""
+    split the sides in turn by each member's cell and the multiset of its
+    neighbours' cells, until a split leaves its side's count unchanged.  A
+    multiset is an exact count code, never a hash: a neighbour in cell x adds
+    1 << (x * bits), and no list on either side has 2 ** bits entries, so no
+    field carries into the next and equal codes mean equal multisets.  The
+    first split is by clique size and, if that leaves one clique cell, the
+    second by how many cliques hold each vertex, so both are taken in closed
+    form.  Cells are numbered by first appearance either way."""
     member_of: list[list[int]] = [[] for _ in range(n)]
     for i, c in enumerate(cliques):
         for v in c:
@@ -157,12 +159,13 @@ def _refine(n: int, cliques: Sequence[Sequence[int]]) -> tuple[list[int], list[i
         if len(degrees) == 1:
             return cells[1], cells[0]
         counts[1], start = len(degrees), 2
+    bits = max(map(len, chain(cliques, member_of)), default=0).bit_length()
     for step in count(start):
         side = step % 2
-        other = cells[1 - side].__getitem__
+        code = [1 << x * bits for x in cells[1 - side]].__getitem__
         ids: dict = {}
         cells[side] = [
-            ids.setdefault((own, tuple(sorted(map(other, nbrs)))), len(ids))
+            ids.setdefault((own, sum(map(code, nbrs))), len(ids))
             for own, nbrs in zip(cells[side], member_of if side else cliques)
         ]
         if len(ids) == counts[side]:
@@ -194,9 +197,7 @@ def compute_delta(
     vcell, ccell = _refine(n, cliques)
     p, q = max(vcell) + 1, max(ccell) + 1
     vsize, csize = Counter(vcell), Counter(ccell)
-    reps: dict[int, tuple[int, ...]] = {}
-    for c, b in zip(cliques, ccell):
-        reps.setdefault(b, c)
+    reps = dict(zip(ccell[::-1], cliques[::-1]))  # each clique cell's first clique
     constraints = []
     for b in range(q):
         row = [0] * p + [1]
@@ -277,8 +278,7 @@ def check_pairwise_intersections(fam1: CliqueFamily, fam2: CliqueFamily) -> bool
     vertex.  Families must have distinct colours."""
     if fam1.colour == fam2.colour:
         raise ValueError("pairwise intersection check needs distinct colours")
-    masks1 = [_mask(c) for c in fam1.cliques]
-    masks2 = [_mask(c) for c in fam2.cliques]
+    masks1, masks2 = ([_mask(c) for c in f.cliques] for f in (fam1, fam2))
     return all((m1 & m2).bit_count() <= 1 for m1 in masks1 for m2 in masks2)
 
 
@@ -493,25 +493,22 @@ def certify(
         certs.append(ColourCertificate(colour, k, fam, delta, 1 / delta, lam, mu,
                                        tuple(map(share.__getitem__, ints))))
 
-    masses = [c.mu._masses for c in certs]
     pairwise: list[PairwiseCheck] = []
-    for i in range(len(certs)):
-        for j in range(i + 1, len(certs)):
-            ci, cj = certs[i], certs[j]
-            dsum = ci.delta + cj.delta
-            if dsum > 1:
-                raise LemmaViolation(
-                    f"delta[{ci.colour}] + delta[{cj.colour}] = {dsum} > 1"
-                )
-            psum = _product_sum(masses[i], masses[j])
-            if psum > 1:
-                raise LemmaViolation(
-                    f"mu-mass product sum for colours "
-                    f"({ci.colour}, {cj.colour}) is {psum} > 1"
-                )
-            # The cliques are of this graph's own colours, so two of different
-            # colours share at most one vertex; both cover V, so some share one.
-            pairwise.append(PairwiseCheck((ci.colour, cj.colour), dsum, psum, 1))
+    for ci, cj in combinations(certs, 2):
+        dsum = ci.delta + cj.delta
+        if dsum > 1:
+            raise LemmaViolation(
+                f"delta[{ci.colour}] + delta[{cj.colour}] = {dsum} > 1"
+            )
+        psum = _product_sum(ci.mu._masses, cj.mu._masses)
+        if psum > 1:
+            raise LemmaViolation(
+                f"mu-mass product sum for colours "
+                f"({ci.colour}, {cj.colour}) is {psum} > 1"
+            )
+        # The cliques are of this graph's own colours, so two of different
+        # colours share at most one vertex; both cover V, so some share one.
+        pairwise.append(PairwiseCheck((ci.colour, cj.colour), dsum, psum, 1))
 
     universal_lower = universal_form = None
     if len(certs) == 2:
@@ -712,12 +709,14 @@ def _check_colour(
     whether its masses could be summed; masses is its stored mu vertex masses
     over their common denominator.  A malformed clique, or an empty family,
     returns False before any mass is summed."""
-    n, colour, k, delta = g.n, c["colour"], c["k"], c["delta"]
-    cliques = c["cliques"]
+    n, colour, k, delta, cliques = g.n, c["colour"], c["k"], c["delta"], c["cliques"]
     closed = [a | 1 << v for v, a in enumerate(g.adjacency(colour))]
-    covered = 0
+    bit, covered = {v: 1 << v for v in range(n)}.__getitem__, 0
     for q in cliques:
-        mask = _mask(q) if not q or min(q) >= 0 and max(q) < n else 0
+        try:  # a vertex outside 0..n-1 has no key, and a repeated one carries:
+            mask = sum(map(bit, q))  # either way mask has fewer bits than q entries
+        except KeyError:
+            mask = 0
         if mask.bit_count() != len(q):
             issues.append(
                 f"colour {colour}: clique {q} repeats a vertex or leaves 0..{n - 1}"

@@ -70,16 +70,16 @@ def vertex_set(members: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def _pair_matrix(n: int, codes: bytes) -> bytearray:
-    """The n-by-n byte matrix with codes[pair_index(n, u, v)] at (u, v) and
-    (v, u), 255 on the diagonal, and row u listing vertices n-1 down to 0."""
+    """The n-by-n matrix of codes[pair_index(n, u, v)] at (u, v) and (v, u), 255
+    on the diagonal, reversed whole: vertex u's row is row n-1-u, from n-1 down."""
     matrix = bytearray(b"\xff") * (n * n)
-    start = 0
+    codes, start = memoryview(codes), 0
     for u in range(n):  # pairs (u, u+1..n-1): part of row u and of column u
         seg = codes[start : start + n - 1 - u]
-        matrix[u * n : u * n + n - 1 - u] = seg[::-1]
-        matrix[(u + 1) * n + n - 1 - u :: n] = seg
+        matrix[u * n + u + 1 : (u + 1) * n] = seg
+        matrix[(u + 1) * n + u :: n] = seg
         start += n - 1 - u
-    return matrix
+    return matrix[::-1]
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,16 @@ class EdgeColouredGraph:
         if colour not in cache:
             n, r = self.n, self.r
             if r < 256:
-                codes, wanted = bytes(self.colours), {c: c for c in range(r - 1)}
+                codes, wanted = bytearray(self.colours), {c: c for c in range(r - 1)}
             else:
                 codes, wanted = bytes(c == colour for c in self.colours), {colour: 1}
-            matrix = _pair_matrix(n, codes)
+            matrix, starts = _pair_matrix(n, codes), range(n * n - n, -1, -n)
             # The last colour's rows, built lazily: read only below 256.
             rest = (((1 << n) - 1) ^ (1 << u) for u in range(n))
             for c, code in wanted.items():
                 # As ASCII digits, int(row, 2) has bit v set where (u, v) has c.
                 digits = matrix.translate(b"0" * code + b"1" + b"0" * (255 - code))
-                cache[c] = tuple(int(digits[i : i + n], 2) for i in range(0, n * n, n))
+                cache[c] = tuple(int(digits[i : i + n], 2) for i in starts)
                 rest = map(xor, rest, cache[c])
             if r < 256:
                 cache[r - 1] = tuple(rest)

@@ -1,13 +1,15 @@
 """Pinned certificate bytes.
 
 The sha256 of ``certify(...).to_json()`` for small graphs of every
-construction, under both clique-family policies.  A change to the simplex
-(its pivots, its duals), to the measure or to the serialisation shows here
-as a changed digest.  When a change alters certificates on purpose, the new
-digests are the ones to review and pin.
+construction, under both clique-family policies, and for two relabelled
+n = 200 extremal graphs under per-vertex-lex.  A change to the simplex
+(its pivots, its duals), to the colour refinement, to the measure or to the
+serialisation shows here as a changed digest.  When a change alters
+certificates on purpose, the new digests are the ones to review and pin.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -19,6 +21,7 @@ from enabling.constructions import (
     prime_slope,
     two_colour_extremal,
 )
+from enabling.graphs import EdgeColouredGraph, pair_index, pairs
 
 
 def _blocks(r, k):
@@ -83,3 +86,30 @@ def test_certificate_bytes_are_pinned(name, policy):
     g, targets = GRAPHS[name]()
     text = certify(g, targets, policy=policy).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == PINS[name, policy]
+
+
+def _relabelled(g, seed):
+    """g with every vertex v moved to perm[v], for a fixed-seed random perm."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    cols = [0] * len(g.colours)
+    for (u, v), c in zip(pairs(g.n), g.colours):
+        cols[pair_index(g.n, perm[u], perm[v])] = c
+    return EdgeColouredGraph(g.n, g.r, tuple(cols))
+
+
+# Relabelled n = 200 extremal graphs under per-vertex-lex: colour 0's
+# family refines in six rounds to 29 or 30 vertex cells and 20 clique cells,
+# far more than any small pin above reaches.
+RELABELLED_PINS = {
+    (19, 99): "8ee60ce067bf46ab5b667b44a6264c1b699eaac486a65e928cdfcefd0c12f3b7",
+    (99, 19): "7daa9bda7c652ccbf67afc6936949f6ded12adbbda92a56025ddbe4f2edf1f4a",
+}
+
+
+@pytest.mark.parametrize("k1,k2", sorted(RELABELLED_PINS))
+def test_relabelled_extremal_certificate_bytes_are_pinned(k1, k2):
+    g = _relabelled(two_colour_extremal(k1, k2), 20240)
+    assert g.n == 200
+    text = certify(g, ((0, k1), (1, k2)), policy=PER_VERTEX_LEX).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == RELABELLED_PINS[k1, k2]

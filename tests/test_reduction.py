@@ -3,6 +3,7 @@ tests hold it to a full-size solve and to the full-size audit."""
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -16,9 +17,10 @@ from hypothesis import assume, given, settings, strategies as st
 import enabling
 from enabling import certificates, lp
 from enabling.certificates import compute_delta, construct_mu, mu_vertex_masses
-from enabling.cliques import ALL_CLIQUES, CliqueFamily, choose_family
+from enabling.cliques import (
+    ALL_CLIQUES, CliqueFamily, choose_family, enumerate_cliques)
 from enabling.constructions import p4_blowup
-from enabling.graphs import monochromatic_complete
+from enabling.graphs import EdgeColouredGraph, monochromatic_complete, pair_count
 from enabling.lp import LE, AuditFailure, LPSolution, solve_lp_exact
 
 
@@ -284,3 +286,50 @@ def test_refinement_numbers_cells_as_the_all_rounds_reference(case):
 ])
 def test_refinement_edge_cases_match_the_reference(n, cliques):
     assert certificates._refine(n, cliques) == _reference_refine(n, cliques)
+
+
+def _star_and_block(size):
+    """Vertex 0 lies in ``size`` edges, and one clique has ``size`` vertices:
+    the longest neighbour list on either side has ``size`` entries, all in
+    one cell of the other side."""
+    star = [(0, v) for v in range(1, size + 1)]
+    block = tuple(range(size + 1, 2 * size + 1))
+    return 2 * size + 2, star + [block, (2 * size, 2 * size + 1), (1,)]
+
+
+@pytest.mark.parametrize("size", [2**j + d for j in range(2, 7) for d in (-1, 0, 1)])
+def test_refinement_matches_the_reference_at_field_width_boundaries(size):
+    # The count code's fields are as wide as the longest list's bit length:
+    # 2**j - 1 entries fill a field, 2**j and 2**j + 1 need one more bit.
+    n, cliques = _star_and_block(size)
+    assert certificates._refine(n, cliques) == _reference_refine(n, cliques)
+
+
+@pytest.mark.parametrize("n,cliques,want", [
+    # Vertex 0 is listed four times by one clique, a count n = 3 has no room
+    # for: n.bit_length() bits would carry it into the cell of (1, 2).
+    (3, [(0, 0, 0, 0), (1, 2)], ([0, 1, 1], [0, 1])),
+    # Vertex 0 lies in four edges, the longest list: fields as wide as the
+    # longest clique, 2 bits, would carry it into the triangle's cell.
+    (8, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6, 7)],
+     ([0, 1, 1, 1, 1, 2, 2, 2], [0, 0, 0, 0, 1])),
+    # The first two cliques have 5 vertices, the longest lists: as wide as a
+    # vertex list, 2 bits, their second-round counts of vertex cells,
+    # {0: 4, 2: 1} and {1: 5}, would both read 20.
+    (12, [(0, 1, 2, 3, 9), (4, 5, 6, 7, 8), (0, 1), (2, 3), (9, 10, 11)],
+     ([0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 3, 3], [0, 1, 2, 2, 3])),
+])
+def test_refinement_field_width_comes_from_the_longest_list(n, cliques, want):
+    assert certificates._refine(n, cliques) == _reference_refine(n, cliques) == want
+
+
+def test_refinement_matches_the_reference_on_a_near_discrete_family():
+    # Every size-4 clique of each colour of a random 2-colouring of K_40:
+    # over a thousand clique cells, so a vertex code has over a thousand fields.
+    rng = random.Random(40)
+    g = EdgeColouredGraph(40, 2, tuple(rng.choices((0, 1), k=pair_count(40))))
+    for colour in (0, 1):
+        cliques = enumerate_cliques(g, colour, 4)
+        vcell, ccell = certificates._refine(40, cliques)
+        assert max(ccell) + 1 > 1000
+        assert (vcell, ccell) == _reference_refine(40, cliques)
