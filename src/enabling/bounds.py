@@ -95,25 +95,14 @@ def f_max(r: int, k: int, x) -> Fraction:
 
 
 def multicolour_lower(r: int, k: int) -> int:
-    """Best available lower bound for r colours and uniform clique target k."""
-    if r < 2 or k < 2:
-        raise ValueError(f"need r >= 2 and k >= 2, got ({r}, {k})")
-    trivial = r * (k - 1) + 1
-    quadratic = f_max(r, k, 2)
-    if quadratic.denominator != 1:
-        raise LemmaViolation(f"f_max({r}, {k}, 2) = {quadratic} is not an integer")
-    return max(trivial, int(quadratic))
+    """Best available lower bound for r colours and uniform clique target k:
+    ``multicolour_report(r, k).lower``."""
+    return multicolour_report(r, k).lower
 
 
 def multicolour_upper(r: int, k: int) -> int:
-    """Best available upper bound: the block construction on 2r(k-1)
-    vertices, improved to k^2 when k is prime and r == k+1."""
-    if r < 2 or k < 2:
-        raise ValueError(f"need r >= 2 and k >= 2, got ({r}, {k})")
-    block = 2 * r * (k - 1)
-    if r == k + 1 and _is_prime(k):
-        return min(block, k * k)
-    return block
+    """Best available upper bound: ``multicolour_report(r, k).upper``."""
+    return multicolour_report(r, k).upper
 
 
 @dataclass(frozen=True)
@@ -157,18 +146,23 @@ def two_colour_report(k1: int, k2: int) -> BoundReport:
 
 
 def multicolour_report(r: int, k: int) -> BoundReport:
-    """Bounds for r colours with uniform clique target k."""
-    trivial = r * (k - 1) + 1
-    quadratic = int(f_max(r, k, 2))
-    lower = multicolour_lower(r, k)
-    block = 2 * r * (k - 1)
-    upper = multicolour_upper(r, k)
-    prov: list[tuple[str, object]] = [
-        ("pigeonhole", trivial),
-        ("quadratic_at_2", quadratic),
-        ("block_construction", block),
-    ]
-    if upper < block:
-        prov.append(("prime_slope", k * k))
+    """Bounds for r colours with uniform clique target k.
+
+    The lower candidates are pigeonhole, r(k-1)+1, and f_max(r, k, 2), the
+    largest 2mk - 2m(m-1) over 0 <= m <= r; the upper candidates are the
+    block construction on 2r(k-1) vertices and, when k is prime and
+    r == k+1, the prime-slope one on k^2.  The bounds are the largest lower
+    and the smallest upper candidate.
+    """
+    if r < 2 or k < 2:
+        raise ValueError(f"need r >= 2 and k >= 2, got ({r}, {k})")
+    quadratic = f_max(r, k, 2)
+    if quadratic.denominator != 1:
+        raise LemmaViolation(f"f_max({r}, {k}, 2) = {quadratic} is not an integer")
+    lows = [("pigeonhole", r * (k - 1) + 1), ("quadratic_at_2", int(quadratic))]
+    ups = [("block_construction", 2 * r * (k - 1))]
+    if r == k + 1 and _is_prime(k):
+        ups.append(("prime_slope", k * k))
+    lower, upper = max(v for _, v in lows), min(v for _, v in ups)
     exact = lower if lower == upper else None
-    return BoundReport(lower=lower, upper=upper, exact=exact, provenance=tuple(prov))
+    return BoundReport(lower=lower, upper=upper, exact=exact, provenance=(*lows, *ups))

@@ -59,8 +59,6 @@ __all__ = [
     "ColourCertificate",
     "CertificationResult",
     "FamilyMeasure",
-    "LemmaViolation",
-    "NotEnabling",
     "PairwiseCheck",
     "VertexMeasure",
     "certificate_from_json_dict",
@@ -451,10 +449,28 @@ def _unpacked(doc, size: int, packed: bool) -> list[Fraction]:
     return list(map([*map(_unrat, values)].__getitem__, index))
 
 
-def _universal(k1: int, k2: int) -> tuple[int, str]:
-    """The closed-form two-colour lower bound, and (sqrt(k1-1) + sqrt(k2-1))^2
-    written out, as an integer when it is one."""
-    return two_colour_lower(k1, k2), str(_sqrt_sum_squared(k1, k2))
+def _bound(
+    ks: Sequence[int], deltas: Sequence[Fraction], alphas: Sequence[Fraction]
+) -> tuple[Fraction, tuple[int, str] | None]:
+    """The vertex-count bound that the certified colours' targets and measure
+    values give, with the closed-form universal bound when there are two.
+
+    Two colours give ``two_colour_bound`` and the universal pair: the lower
+    bound and (sqrt(k1-1) + sqrt(k2-1))^2 written out, as an integer when it
+    is one.  Any other count needs one uniform target (ValueError otherwise)
+    and a mean alpha of at least 2 (LemmaViolation otherwise), and gives
+    f_max at that mean.  The alphas are taken as given, never as 1/delta.
+    """
+    if len(ks) == 2:
+        bound = two_colour_bound(*ks, *deltas)
+        return bound, (two_colour_lower(*ks), str(_sqrt_sum_squared(*ks)))
+    if len(set(ks)) != 1:
+        raise ValueError("multicolour certification needs a uniform clique target, "
+                         f"got {sorted(set(ks))}")
+    alpha_bar = sum(alphas, Fraction(0)) / len(alphas)
+    if alpha_bar < 2:
+        raise LemmaViolation(f"mean alpha {alpha_bar} fell below 2")
+    return f_max(len(ks), ks[0], alpha_bar), None
 
 
 def certify(
@@ -464,20 +480,16 @@ def certify(
 ) -> CertificationResult:
     """Measure certificates for every target colour plus the derived bound.
 
-    Raises NotEnabling when some vertex misses a required clique, ValueError
-    on malformed targets or an unknown policy, and LemmaViolation when a
-    guaranteed inequality fails (which would falsify the underlying maths).
+    Raises NotEnabling when some vertex misses a required clique (from
+    ``choose_family``, at the first such colour in target order), ValueError
+    on malformed targets, an unknown policy or, for other than two colours,
+    mixed targets, and LemmaViolation when a guaranteed inequality fails
+    (which would falsify the underlying maths).
     """
     _check_targets(g, targets)
-    # One clique search per colour, in target order: the per-vertex-lex walk
-    # raises NotEnabling itself, and every clique listed shows the coverage.
+    # One clique search per colour, in target order; each raises NotEnabling
+    # at its colour's first uncovered vertex.
     fams = [choose_family(g, colour, k, policy) for colour, k in targets]
-    first = next(((v, f.colour) for f in fams for v in range(g.n)
-                  if v not in f.covered), None)
-    if first is not None:
-        v, c = first
-        raise NotEnabling(f"vertex {v} lies in no size-{dict(targets)[c]} clique "
-                          f"of colour {c}")
 
     certs: list[ColourCertificate] = []
     for (colour, k), fam in zip(targets, fams):
@@ -510,24 +522,8 @@ def certify(
         # colours share at most one vertex; both cover V, so some share one.
         pairwise.append(PairwiseCheck((ci.colour, cj.colour), dsum, psum, 1))
 
-    universal_lower = universal_form = None
-    if len(certs) == 2:
-        k1, k2 = certs[0].k, certs[1].k
-        bound = two_colour_bound(k1, k2, certs[0].delta, certs[1].delta)
-        universal_lower, universal_form = _universal(k1, k2)
-    else:
-        ks = {k for _, k in targets}
-        if len(ks) != 1:
-            raise ValueError(
-                "multicolour certification needs a uniform clique target, "
-                f"got {sorted(ks)}"
-            )
-        r = len(certs)
-        alpha_bar = sum((c.alpha for c in certs), Fraction(0)) / r
-        if alpha_bar < 2:
-            raise LemmaViolation(f"mean alpha {alpha_bar} fell below 2")
-        bound = f_max(r, ks.pop(), alpha_bar)
-
+    bound, universal = _bound(*zip(*((c.k, c.delta, c.alpha) for c in certs)))
+    universal_lower, universal_form = universal or (None, None)
     if bound > g.n:
         raise LemmaViolation(
             f"derived bound {bound} exceeds the actual vertex count {g.n}"
@@ -608,8 +604,9 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
     vertex; lambda achieves delta and the mu vertex masses cap it, so delta
     is exact from both sides; every colour pair has a row whose sums hold
     and whose maximum clique intersection is 1; the bound and its ceiling
-    follow from the deltas; for two colours, and only then, the stored
-    closed-form bound matches the targets; and the policy is a known one.
+    follow from the targets and the stored deltas and alphas, as ``certify``
+    derives them; for two colours, and only then, the stored closed-form
+    bound matches the targets; and the policy is a known one.
     Measures are compared as integers over one common denominator per vector,
     cliques as bitmasks.  The intersection is not searched: the per-colour
     checks make every clique monochromatic, which implies it.
@@ -669,29 +666,18 @@ def check_certificate(g: EdgeColouredGraph, doc: dict) -> list[str]:
     if cert["policy"] not in (ALL_CLIQUES, PER_VERTEX_LEX):
         issues.append(f"unknown policy {cert['policy']!r}")
     universal = cert["universal"]
-    if len(certs) == 2:
-        k1, k2 = certs[0]["k"], certs[1]["k"]
-        try:
-            expected = two_colour_bound(k1, k2, certs[0]["delta"], certs[1]["delta"])
-            closed_form = _universal(k1, k2)
-        except ValueError as exc:
-            issues.append(f"bound cannot be recomputed: {exc}")
-        else:
-            if cert["bound"] != expected:
-                issues.append(
-                    f"stored bound {cert['bound']} != recomputed {expected}"
-                )
-            if universal != closed_form:
-                issues.append(f"stored universal bound {universal} != {closed_form}")
+    if len(certs) != 2 and universal is not None:
+        issues.append("a universal bound is stored for other than two colours")
+    try:
+        expected, closed_form = _bound(
+            *zip(*((c["k"], c["delta"], c["alpha"]) for c in certs)))
+    except (ValueError, LemmaViolation) as exc:
+        issues.append(f"bound cannot be recomputed: {exc}")
     else:
-        if universal is not None:
-            issues.append("a universal bound is stored for other than two colours")
-        ks = {c["k"] for c in certs}
-        alpha_bar = sum((c["alpha"] for c in certs), Fraction(0)) / len(certs)
-        if len(ks) != 1 or alpha_bar < 2:
-            issues.append("multicolour bound premises do not hold")
-        elif cert["bound"] != f_max(len(certs), ks.pop(), alpha_bar):
-            issues.append(f"stored bound {cert['bound']} is not the recomputed value")
+        if cert["bound"] != expected:
+            issues.append(f"stored bound {cert['bound']} != recomputed {expected}")
+        if len(certs) == 2 and universal != closed_form:
+            issues.append(f"stored universal bound {universal} != {closed_form}")
     if cert["bound"] > g.n:
         issues.append(f"stored bound {cert['bound']} exceeds the vertex count {g.n}")
     if cert["bound_ceiling"] != ceil(cert["bound"]):

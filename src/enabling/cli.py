@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -38,14 +37,7 @@ def _colour_name(i: int) -> str:
     return f"{hue:.6f},0.850,0.900"
 
 
-def _use_colour() -> bool:
-    return bool(os.environ.get("ENABLE_COLOR")) and sys.stderr.isatty() is not False
-
-
-def _log(message: str, *, error: bool = False) -> None:
-    if _use_colour():
-        code = "31" if error else "36"
-        message = f"\x1b[{code}m{message}\x1b[0m"
+def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
@@ -57,20 +49,15 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _load_graph(path: str) -> EdgeColouredGraph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return EdgeColouredGraph.from_json(text)
-
-
 def _load_json(path: str) -> dict:
     if path == "-":
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _load_graph(path: str) -> EdgeColouredGraph:
+    return EdgeColouredGraph.from_json_dict(_load_json(path))
 
 
 def _parse_targets(text: str) -> tuple[tuple[int, int], ...]:
@@ -144,7 +131,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _emit(canonical_json(report.to_json_dict()), args.output)
     if not report.ok:
         v, c = report.first_failure
-        _log(f"not enabling: vertex {v} has no witness in colour {c}", error=True)
+        _log(f"not enabling: vertex {v} has no witness in colour {c}")
     return 0 if report.ok else 1
 
 
@@ -158,7 +145,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         issues = certificates.check_certificate(g, _load_json(args.check))
         _emit(canonical_json({"ok": not issues, "issues": issues}), args.output)
         for issue in issues:
-            _log(issue, error=True)
+            _log(issue)
         return 0 if not issues else 1
     result = certificates.certify(
         g, _parse_targets(args.targets), policy=_POLICIES[args.policy or "all"]
@@ -305,13 +292,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except certificates.NotEnabling as exc:
-        _log(f"not enabling: {exc}", error=True)
+        _log(f"not enabling: {exc}")
         return 1
-    except (certificates.LemmaViolation, lp.AuditFailure, AssertionError) as exc:
-        _log(f"invariant falsified: {exc}", error=True)
+    except (certificates.LemmaViolation, lp.AuditFailure) as exc:
+        _log(f"invariant falsified: {exc}")
         return 3
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        _log(f"error: {exc}", error=True)
+        _log(f"error: {exc}")
         return 2
 
 

@@ -296,23 +296,22 @@ def choose_family(
     """Build the clique family used by the measure computations.
 
     ``per-vertex-lex`` collects, for each vertex, the lexicographically
-    smallest size-k clique of the colour containing it (raising NotEnabling
-    if some vertex has none); ``all-cliques`` enumerates every size-k clique
-    of the colour.
+    smallest size-k clique of the colour containing it; ``all-cliques``
+    enumerates every size-k clique of the colour, and designates each
+    vertex's first.  Under either policy a vertex in no such clique raises
+    NotEnabling, naming the smallest one.
     """
     if policy == PER_VERTEX_LEX:
         cliques, index = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
-        if -1 in index:
-            raise NotEnabling(
-                f"vertex {index.index(-1)} lies in no size-{k} clique "
-                f"of colour {colour}"
-            )
-        return CliqueFamily(colour, k, tuple(cliques), dict(enumerate(index)))
-    if policy == ALL_CLIQUES:
-        cliques = tuple(enumerate_cliques(g, colour, k))
-        covered = {}
-        for i, c in enumerate(cliques):
-            for v in c:
-                covered.setdefault(v, i)
-        return CliqueFamily(colour, k, cliques, covered)
-    raise ValueError(f"unknown family policy {policy!r}")
+    elif policy == ALL_CLIQUES:
+        cliques, index = enumerate_cliques(g, colour, k), [-1] * g.n
+        for i in range(len(cliques) - 1, -1, -1):  # so each vertex ends on its first
+            for v in cliques[i]:
+                index[v] = i
+    else:
+        raise ValueError(f"unknown family policy {policy!r}")
+    if -1 in index:
+        raise NotEnabling(
+            f"vertex {index.index(-1)} lies in no size-{k} clique of colour {colour}"
+        )
+    return CliqueFamily(colour, k, tuple(cliques), dict(enumerate(index)))

@@ -123,6 +123,14 @@ def test_multicolour_sandwich_and_trivial_floor():
             assert hi <= 2 * r * (k - 1)
 
 
+def test_multicolour_lower_and_upper_are_the_report_fields():
+    for r in range(2, 13):
+        for k in range(2, 13):
+            report = multicolour_report(r, k)
+            assert (multicolour_lower(r, k), multicolour_upper(r, k)) == (
+                report.lower, report.upper)
+
+
 def test_multicolour_lower_integrality_guard_survives_optimisation_flag():
     """A fractional quadratic bound raises LemmaViolation under python -O
     instead of being truncated by int()."""

@@ -511,6 +511,9 @@ PROBES = {
     ),
     "universal missing": (4, lambda d: d.pop("universal"), "stored universal bound"),
     "unknown policy": (4, lambda d: d.update(policy="greedy"), "unknown policy"),
+    "colour out of range": (
+        4, lambda d: d["certificates"][1].update(colour=2), "colour 2 outside range 0..1"
+    ),
     "vertex out of range": (4, _set_clique([0, 4]), "leaves 0..3"),
     "negative vertex": (4, _set_clique([-1, 0]), "leaves 0..3"),
     "repeated vertex": (4, _set_clique([1, 1]), "repeats a vertex"),
@@ -571,6 +574,52 @@ def test_recheck_rejects_a_universal_bound_beyond_two_colours():
     assert "universal" not in doc and check_certificate(g, doc) == []
     doc["universal"] = {"lower": 9, "form": "9"}
     assert any("other than two colours" in i for i in check_certificate(g, doc))
+
+
+def _set_alphas(alpha):
+    def mutate(doc):
+        for c in doc["certificates"]:
+            c["alpha"] = {"num": str(alpha.numerator), "den": str(alpha.denominator)}
+    return mutate
+
+
+def _mix_k(doc):
+    doc["certificates"][2]["k"] = doc["targets"][2][1] = 2
+
+
+# Three-colour documents: (mutation, an expected issue).  The bound is
+# f_max at the mean alpha, so each mutation breaks one of its premises or
+# its value.
+MULTICOLOUR_PROBES = {
+    "tampered bound": (
+        lambda d: d["bound"].update(value={"num": "7", "den": "1"}),
+        "stored bound 7 != recomputed",
+    ),
+    "universal added": (
+        lambda d: d.update(universal={"lower": 9, "form": "9"}), "other than two colours"
+    ),
+    "mixed k": (_mix_k, "bound cannot be recomputed: multicolour certification needs"),
+    "mean alpha below 2": (
+        _set_alphas(F(3, 2)), "bound cannot be recomputed: mean alpha 3/2 fell below 2"
+    ),
+    "zero alphas": (_set_alphas(F(0)), "bound cannot be recomputed: mean alpha 0"),
+    # The bound is taken from the stored alphas, never as 1/delta.
+    "zero deltas": (
+        lambda d: [c.update(delta={"num": "0", "den": "1"}) for c in d["certificates"]],
+        "lambda does not achieve the stated delta",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTICOLOUR_PROBES))
+def test_recheck_rejects_unsound_multicolour_documents(name):
+    mutate, expected = MULTICOLOUR_PROBES[name]
+    g = multicolour_blocks(3, 3)
+    doc = json.loads(certify(g, tuple((c, 3) for c in range(3))).to_json())
+    assert check_certificate(g, doc) == []
+    mutate(doc)
+    issues = check_certificate(g, doc)
+    assert any(expected in i for i in issues), issues
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))

@@ -261,6 +261,27 @@ def test_export_dot_uses_fixed_palette(tmp_path, capsys):
     assert out.rstrip().endswith("}")
 
 
+def test_export_dot_names_colours_past_the_palette_by_hue(tmp_path, capsys):
+    # prime 5 has six colours: red, blue, green, yellow, then two hues.
+    code, out, _ = run(capsys, "construct", "--family", "prime", "--params", "5")
+    path = tmp_path / "g.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "export-dot", "--graph", str(path))
+    assert code == 0
+    colours = set(re.findall(r'color="([^"]*)"', out))
+    assert colours == {"red", "blue", "green", "yellow",
+                       "0.050000,0.850,0.900", "0.668034,0.850,0.900"}
+
+
+def test_construct_blocks_emits_its_parameters(capsys):
+    code, out, _ = run(capsys, "construct", "--family", "blocks", "--params", "3,2")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n"], doc["r"]) == (6, 3)
+    assert doc["meta"]["params"] == {"r": 3, "k": 2}
+    assert doc["meta"]["label_map"] == "vertex 2*(2 - 1)*i + q is element q of block i"
+
+
 def test_outputs_are_byte_deterministic(capsys):
     runs = []
     for _ in range(2):
@@ -279,6 +300,16 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "certify", "--graph", "x.json")[0] == 2
     assert run(capsys, "search", "--k1", "2", "--k2", "2", "--min-n")[0] == 2
     assert run(capsys, "search", "--k1", "2", "--k2", "2", "--n", "4", "--no-prune")[0] == 2
+    assert run(capsys, "construct", "--family", "blocks", "--params", "3")[0] == 2
+    assert run(capsys, "bound", "--multicolour", "1", "3")[0] == 2
+
+
+@pytest.mark.parametrize("targets", ["0:2,1", "0:2,:2", "0-2", "0:"])
+def test_malformed_targets_exit_two(tmp_path, capsys, targets):
+    path = tmp_path / "p4.json"
+    path.write_text(run(capsys, "construct", "--family", "p4", "--params", "4")[1])
+    code, _, err = run(capsys, "verify", "--graph", str(path), "--targets", targets)
+    assert code == 2 and "expected colour:k" in err
 
 
 def test_help_exits_zero(capsys):

@@ -9,6 +9,7 @@ from enabling.cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
     CliqueFamily,
+    NotEnabling,
     _lex_witnesses,
     choose_family,
     enumerate_cliques,
@@ -225,6 +226,20 @@ def test_choose_family_fails_if_a_vertex_is_uncovered():
     g = p4_graph()
     with pytest.raises(ValueError):
         choose_family(g, 0, 3, PER_VERTEX_LEX)
+
+
+@pytest.mark.parametrize("g,colour,k,message", [
+    (p4_graph(), 0, 3, "vertex 0 lies in no size-3 clique of colour 0"),
+    (two_colour_extremal(3, 3), 0, 4, "vertex 4 lies in no size-4 clique of colour 0"),
+    (build(4, 2, (1, 0, 1, 0, 1, 0)), 1, 2, "vertex 2 lies in no size-2 clique of colour 1"),
+])
+def test_both_policies_refuse_a_colour_that_leaves_a_vertex_uncovered(g, colour, k, message):
+    # all-cliques raises too, naming the same smallest uncovered vertex,
+    # rather than returning a family that misses it.
+    for policy in (PER_VERTEX_LEX, ALL_CLIQUES):
+        with pytest.raises(NotEnabling) as err:
+            choose_family(g, colour, k, policy)
+        assert str(err.value) == message
 
 
 def lex_least_witnesses(g, colour, k):

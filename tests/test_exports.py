@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 
@@ -22,3 +23,26 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from enabling import *", namespace)
     assert set(enabling.__all__) <= namespace.keys()
+
+
+LIBRARY = [m for m in MODULES[1:] if m.__name__ != "enabling.cli"]
+
+
+def test_package_exports_the_union_of_its_modules_names():
+    names = [name for module in LIBRARY for name in module.__all__]
+    assert sorted(enabling.__all__) == sorted(names)
+
+
+@pytest.mark.parametrize("module", LIBRARY, ids=lambda m: m.__name__)
+def test_each_name_is_listed_by_the_module_that_defines_it(module):
+    owners = {name: getattr(getattr(module, name), "__module__", module.__name__)
+              for name in module.__all__}
+    assert {name: m for name, m in owners.items() if m != module.__name__} == {}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_check_sits_in_an_assert(module):
+    # python -O strips asserts, so a check that must hold is written as a raise.
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
