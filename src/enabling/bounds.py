@@ -129,8 +129,6 @@ def two_colour_report(k1: int, k2: int) -> BoundReport:
     The explicit construction ``two_colour_extremal`` meets the lower bound
     for every pair, so the answer is always exact.
     """
-    if k1 < 1 or k2 < 1:
-        raise ValueError(f"clique targets must be positive, got ({k1}, {k2})")
     lower = two_colour_lower(k1, k2)
     square = _sqrt_sum_squared(k1, k2)
     prov: list[tuple[str, object]] = [("sqrt_sum_squared", square)]

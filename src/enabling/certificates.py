@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, count
-from math import ceil, lcm
+from math import ceil
 from operator import and_
 from typing import Iterable, Sequence
 
@@ -53,7 +53,7 @@ from .cliques import (
     choose_family,
 )
 from .graphs import EdgeColouredGraph, canonical_json
-from .lp import LE, AuditFailure, solve_lp_exact
+from .lp import LE, AuditFailure, _common_denominator, solve_lp_exact
 
 __all__ = [
     "ColourCertificate",
@@ -97,16 +97,6 @@ class FamilyMeasure:
 
     def __post_init__(self) -> None:
         _check_probability(self.weights)
-
-
-def _common_denominator(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers a and one positive d with xs[i] == a[i] / d, so that sums and
-    comparisons of the xs become integer arithmetic.  Measure entries share a
-    few objects, so each distinct object is lifted once."""
-    distinct = dict(zip(map(id, xs), xs))
-    d = lcm(*(x.denominator for x in distinct.values()))
-    lifted = {i: x.numerator * (d // x.denominator) for i, x in distinct.items()}
-    return list(map(lifted.__getitem__, map(id, xs))), d
 
 
 def _check_probability(weights: Sequence[Fraction]) -> None:

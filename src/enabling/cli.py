@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import bounds, certificates, constructions, lp
 from .cliques import ALL_CLIQUES, PER_VERTEX_LEX, verify_enabling
-from .graphs import EdgeColouredGraph, canonical_json, from_simple_graph
+from .graphs import EdgeColouredGraph, canonical_json, from_simple_graph, pairs
 from .search import _least_witness, exists_enabling
 
 __all__ = ["main"]
@@ -50,10 +50,13 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _load_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"JSON input {path!r} nests too deeply to read") from None
 
 
 def _load_graph(path: str) -> EdgeColouredGraph:
@@ -212,11 +215,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     lines = ["graph enabling {", "  node [shape=circle];"]
     for v in range(g.n):
         lines.append(f"  {v};")
-    e = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            lines.append(f'  {u} -- {v} [color="{_colour_name(g.colours[e])}"];')
-            e += 1
+    for (u, v), c in zip(pairs(g.n), g.colours):
+        lines.append(f'  {u} -- {v} [color="{_colour_name(c)}"];')
     lines.append("}")
     _emit("\n".join(lines), args.output)
     return 0

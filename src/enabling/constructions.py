@@ -91,6 +91,8 @@ def two_colour_extremal(k1: int, k2: int) -> EdgeColouredGraph:
     """
     a, b, x, y = _extremal_parts(k1, k2)
     red, blue = a + x, b + y
+    # Assembled from byte rows rather than pair by pair over ``pairs``, for
+    # speed: a sweep of all 248 integer extremal pairs up to n = 200 builds each.
     # The R-by-B cross colours, row u of R holding u's pairs to B.  Run j
     # starts at R vertex j*a mod |R| and, as a < |R|, wraps at most once.
     cross = bytearray(b"\x01") * (red * blue)
@@ -125,27 +127,16 @@ def multicolour_blocks(r: int, k: int) -> EdgeColouredGraph:
     every edge has colour i.  Between blocks i < j, the vertex at position p
     of block i is joined in colour i to the k-1 positions p..p+k-2 (mod the
     block size) of block j and in colour j to the remaining k-1 positions.
+    With m = 2(k-1), the pair u < v so has colour u // m when
+    (v - u) % m <= k - 2 and colour v // m otherwise.
     """
     if r < 2:
         raise ValueError(f"need at least two colours, got r={r}")
     if k < 2:
         raise ValueError(f"need clique target >= 2, got k={k}")
     m = 2 * (k - 1)
-    n = r * m
-    cols = [0] * pair_count(n)
-    idx = 0
-    for u in range(n):
-        bi, p = divmod(u, m)
-        for v in range(u + 1, n):
-            bj, q = divmod(v, m)
-            if bi == bj:
-                cols[idx] = bi
-            elif (q - p) % m <= k - 2:
-                cols[idx] = bi
-            else:
-                cols[idx] = bj
-            idx += 1
-    return EdgeColouredGraph(n, r, tuple(cols))
+    cols = [u // m if (v - u) % m <= k - 2 else v // m for u, v in pairs(r * m)]
+    return EdgeColouredGraph(r * m, r, tuple(cols))
 
 
 def _is_prime(p: int) -> bool:
@@ -168,19 +159,12 @@ def prime_slope(p: int) -> EdgeColouredGraph:
     gets colour (x-z)/(y-w) mod p when y != w, and colour p (the infinite
     slope) when y == w.  Each colour class splits into p parallel lines of
     size p, so every vertex lies in a size-p clique of every colour.
+    Modulo p, y - w is u - v, which is 0 exactly when y == w.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = p * p
-    cols = [0] * pair_count(n)
-    idx = 0
-    for u in range(n):
-        x, y = divmod(u, p)
-        for v in range(u + 1, n):
-            z, w = divmod(v, p)
-            if y == w:
-                cols[idx] = p
-            else:
-                cols[idx] = (x - z) * pow(y - w, -1, p) % p
-            idx += 1
-    return EdgeColouredGraph(n, p + 1, tuple(cols))
+    cols = [
+        p if (u - v) % p == 0 else (u // p - v // p) * pow(u - v, -1, p) % p
+        for u, v in pairs(p * p)
+    ]
+    return EdgeColouredGraph(p * p, p + 1, tuple(cols))

@@ -86,8 +86,14 @@ def _rational(x) -> int | Fraction:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def _scale(values: Sequence, den: int) -> list[int]:
-    return [a.numerator * (den // a.denominator) for a in values]
+def _common_denominator(xs: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Integers a and one positive d with xs[i] == a[i] / d, so that sums and
+    comparisons of the xs become integer arithmetic.  Entries often repeat one
+    object (measure values, zero primals), so each distinct one is lifted once."""
+    distinct = dict(zip(map(id, xs), xs))
+    d = lcm(*(x.denominator for x in distinct.values()))
+    lifted = {i: x.numerator * (d // x.denominator) for i, x in distinct.items()}
+    return list(map(lifted.__getitem__, map(id, xs))), d
 
 
 def solve_lp_exact(objective: Sequence, constraints: Sequence[Constraint]) -> LPSolution:
@@ -110,7 +116,6 @@ def _integerise(c: list[int | Fraction], constraints: Sequence[Constraint]) -> _
     """Validate the input and scale each row, and the objective, to integers
     by its least common denominator."""
     nvars = len(c)
-    c_den = lcm(*(a.denominator for a in c))
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
     dens: list[int] = []
@@ -126,11 +131,11 @@ def _integerise(c: list[int | Fraction], constraints: Sequence[Constraint]) -> _
         if b < 0:
             raise ValueError(f"right-hand side {b} is negative: every rhs must be >= 0")
         row = {j: a for j, a in enumerate(coeffs) if a}
-        den = lcm(b.denominator, *(a.denominator for a in row.values()))
-        rows.append({j: a.numerator * (den // a.denominator) for j, a in row.items()})
-        rhs.append(b.numerator * (den // b.denominator))
+        nums, den = _common_denominator([b, *row.values()])
+        rows.append(dict(zip(row, nums[1:])))
+        rhs.append(nums[0])
         dens.append(den)
-    return _Problem(_scale(c, c_den), c_den, rows, rhs, dens)
+    return _Problem(*_common_denominator(c), rows, rhs, dens)
 
 
 def _simplex(problem: _Problem) -> tuple[list[Fraction], list[Fraction]]:
@@ -234,8 +239,7 @@ def _certify_optimal(
     """
     if len(x) != len(problem.c) or len(y) != len(problem.rows):
         raise AuditFailure("solution has the wrong number of entries")
-    xden = lcm(*(xi.denominator for xi in x))
-    xn = _scale(x, xden)
+    xn, xden = _common_denominator(x)
     if any(xi < 0 for xi in xn):
         raise AuditFailure("primal variable went negative")
     for row, b in zip(problem.rows, problem.rhs):
@@ -246,8 +250,7 @@ def _certify_optimal(
 
     # Row i is the given row times den[i], so its dual is y[i] / den[i].
     w = [Fraction(yi.numerator, yi.denominator * d) for yi, d in zip(y, problem.den)]
-    wden = lcm(*(wi.denominator for wi in w))
-    wn = _scale(w, wden)
+    wn, wden = _common_denominator(w)
     # sum_i y_i a_ij >= c_j, times c_den * wden.
     reduced = [0] * len(problem.c)
     for wi, row in zip(wn, problem.rows):

@@ -182,6 +182,14 @@ def test_two_colour_report_handles_unit_targets():
     assert rep.lower == rep.upper == rep.exact == 7
 
 
+@pytest.mark.parametrize("k1,k2", [(0, 3), (3, 0), (-1, -1)])
+def test_two_colour_bounds_reject_a_target_below_one(k1, k2):
+    text = rf"^clique targets must be positive, got \({k1}, {k2}\)$"
+    for bound in (two_colour_lower, two_colour_report):
+        with pytest.raises(ValueError, match=text):
+            bound(k1, k2)
+
+
 def test_multicolour_report_contents():
     rep = multicolour_report(4, 3)
     assert rep.lower == 9 and rep.upper == 9 and rep.exact == 9

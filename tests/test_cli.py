@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import re
 from fractions import Fraction as F
@@ -273,6 +274,22 @@ def test_export_dot_names_colours_past_the_palette_by_hue(tmp_path, capsys):
                        "0.050000,0.850,0.900", "0.668034,0.850,0.900"}
 
 
+@pytest.mark.parametrize("family,params", [
+    ("p4", "9"), ("extremal", "3,5"), ("blocks", "3,3"), ("prime", "5"),
+])
+def test_export_dot_edge_lines_give_each_pair_its_colour(tmp_path, capsys, family, params):
+    code, out, _ = run(capsys, "construct", "--family", family, "--params", params)
+    path = tmp_path / "g.json"
+    path.write_text(out)
+    g = EdgeColouredGraph.from_json(out)
+    code, out, _ = run(capsys, "export-dot", "--graph", str(path))
+    assert code == 0
+    edges = re.findall(r'^  (\d+) -- (\d+) \[color="([^"]*)"\];$', out, re.M)
+    assert len(edges) == len(g.colours)
+    for u, v, name in edges:
+        assert name == cli._colour_name(g.colour_of(int(u), int(v))), (u, v)
+
+
 def test_construct_blocks_emits_its_parameters(capsys):
     code, out, _ = run(capsys, "construct", "--family", "blocks", "--params", "3,2")
     assert code == 0
@@ -280,6 +297,29 @@ def test_construct_blocks_emits_its_parameters(capsys):
     assert (doc["n"], doc["r"]) == (6, 3)
     assert doc["meta"]["params"] == {"r": 3, "k": 2}
     assert doc["meta"]["label_map"] == "vertex 2*(2 - 1)*i + q is element q of block i"
+
+
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("where", ["graph", "check", "stdin"])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, monkeypatch, where):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    graph = tmp_path / "g.json"
+    graph.write_text(EdgeColouredGraph(4, 2, (0,) * 6).to_json())
+    if where == "graph":
+        argv = ["certify", "--graph", str(deep), "--targets", "0:2"]
+    elif where == "check":
+        argv = ["certify", "--graph", str(graph), "--check", str(deep)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_JSON))
+        argv = ["certify", "--graph", "-", "--targets", "0:2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "nests too deeply" in err
 
 
 def test_outputs_are_byte_deterministic(capsys):

@@ -174,6 +174,27 @@ def test_blocks_cross_degree_split():
             assert ni == k - 1
 
 
+def reference_multicolour_blocks(r, k):
+    """The construction written pair by pair: blocks of size m = 2(k-1),
+    colour i inside block i, and position p of block i joined in colour i
+    to positions p..p+k-2 (mod m) of a later block j, in colour j to the rest."""
+    m = 2 * (k - 1)
+    n = r * m
+    cols = [None] * pair_count(n)
+    for u, v in itertools.combinations(range(n), 2):
+        (i, p), (j, q) = divmod(u, m), divmod(v, m)
+        near = q in {(p + s) % m for s in range(k - 1)}
+        cols[pair_index(n, u, v)] = i if i == j or near else j
+    return tuple(cols)
+
+
+def test_blocks_colours_match_the_pair_by_pair_reference():
+    for r in range(2, 7):
+        for k in range(2, 7):
+            g = multicolour_blocks(r, k)
+            assert g.colours == reference_multicolour_blocks(r, k), (r, k)
+
+
 def test_blocks_reject_degenerate_parameters():
     with pytest.raises(ValueError):
         multicolour_blocks(1, 3)
@@ -190,6 +211,27 @@ def test_prime_slope_is_k_enabling_with_p_plus_one_colours(p):
     assert g.n == p * p
     assert g.r == p + 1
     assert verify_enabling(g, tuple((c, p) for c in range(p + 1))).ok
+
+
+def reference_prime_slope(p):
+    """The construction written pair by pair: vertex x*p + y is (x, y), and
+    the pair (x, y), (z, w) has colour p when y == w, else the slope s with
+    s*(y - w) == x - z mod p."""
+    n = p * p
+    cols = [None] * pair_count(n)
+    for u, v in itertools.combinations(range(n), 2):
+        (x, y), (z, w) = divmod(u, p), divmod(v, p)
+        if y == w:
+            cols[pair_index(n, u, v)] = p
+        else:
+            slopes = [s for s in range(p) if (s * (y - w) - (x - z)) % p == 0]
+            (cols[pair_index(n, u, v)],) = slopes
+    return tuple(cols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_slope_colours_match_the_pair_by_pair_reference(p):
+    assert prime_slope(p).colours == reference_prime_slope(p)
 
 
 def test_prime_slope_colour_classes_are_parallel_line_partitions():

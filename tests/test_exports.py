@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +47,22 @@ def test_no_check_sits_in_an_assert(module):
     with open(module.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+# Each module imports only from those before it: a helper two modules share
+# lives in the lower one, and no import cycle can form.
+IMPORT_ORDER = ["graphs", "lp", "constructions", "bounds", "cliques", "certificates",
+                "search", "cli"]
+
+
+def test_modules_import_only_from_modules_earlier_in_the_order():
+    names = {info.name for info in pkgutil.iter_modules(enabling.__path__)}
+    assert sorted(IMPORT_ORDER) == sorted(names)
+    late = []
+    for rank, name in enumerate(IMPORT_ORDER):
+        path = Path(enabling.__path__[0]) / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                late += [(name, t) for t in targets if t not in IMPORT_ORDER[:rank]]
+    assert late == []

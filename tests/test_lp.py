@@ -5,8 +5,10 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import enabling.lp as lp
 from enabling.lp import LE, AuditFailure, Unbounded, solve_lp_exact
@@ -323,3 +325,19 @@ def test_audit_survives_optimisation_flag():
         assert line.startswith("rejected: ") and match in line
     assert out[-2] == "rejected: dual constraint violated"
     assert out[-1] == "['audited']"
+
+
+@given(
+    st.lists(st.integers(-50, 50) | st.fractions(max_denominator=60), max_size=8),
+    st.lists(st.integers(0, 7), max_size=16),
+)
+@example([], [])
+def test_common_denominator_lifts_ints_and_fractions(pool, picks):
+    # picks repeat objects of the pool, which are lifted once and reused.
+    xs = pool + [pool[i] for i in picks if i < len(pool)]
+    a, d = lp._common_denominator(xs)
+    assert d == lcm(*(F(x).denominator for x in xs))
+    assert len(a) == len(xs) and {type(ai) for ai in a} <= {int}
+    assert all(F(ai, d) == x for ai, x in zip(a, xs))
+    if not xs:
+        assert (a, d) == ([], 1)
