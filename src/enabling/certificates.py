@@ -53,7 +53,7 @@ from .cliques import (
     choose_family,
 )
 from .graphs import EdgeColouredGraph, canonical_json
-from .lp import LE, AuditFailure, _common_denominator, solve_lp_exact
+from .lp import AuditFailure, _common_denominator, solve_lp_exact
 
 __all__ = [
     "ColourCertificate",
@@ -191,8 +191,8 @@ def compute_delta(
         row = [0] * p + [1]
         for v in reps[b]:
             row[vcell[v]] -= 1
-        constraints.append((row, LE, 0))
-    constraints.append(([vsize[a] for a in range(p)] + [0], LE, 1))
+        constraints.append((row, 0))
+    constraints.append(([vsize[a] for a in range(p)] + [0], 1))
     sol = solve_lp_exact([0] * p + [1], constraints)
     delta = sol.value
     lam = [sol.primal[a] for a in vcell]
@@ -448,8 +448,10 @@ def _bound(
     Two colours give ``two_colour_bound`` and the universal pair: the lower
     bound and (sqrt(k1-1) + sqrt(k2-1))^2 written out, as an integer when it
     is one.  Any other count needs one uniform target (ValueError otherwise)
-    and a mean alpha of at least 2 (LemmaViolation otherwise), and gives
-    f_max at that mean.  The alphas are taken as given, never as 1/delta.
+    and gives f_max at the mean alpha.  From three colours up the pairwise
+    delta sums put that mean at 2 or more (LemmaViolation otherwise); one
+    colour has no pair, and its bound f_max(1, k, alpha) = k/delta is at
+    most n, as delta >= k/n.  The alphas are taken as given, never as 1/delta.
     """
     if len(ks) == 2:
         bound = two_colour_bound(*ks, *deltas)
@@ -458,7 +460,7 @@ def _bound(
         raise ValueError("multicolour certification needs a uniform clique target, "
                          f"got {sorted(set(ks))}")
     alpha_bar = sum(alphas, Fraction(0)) / len(alphas)
-    if alpha_bar < 2:
+    if len(ks) > 2 and alpha_bar < 2:
         raise LemmaViolation(f"mean alpha {alpha_bar} fell below 2")
     return f_max(len(ks), ks[0], alpha_bar), None
 

@@ -17,12 +17,11 @@ Python's recursion limit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import and_, ge
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .graphs import EdgeColouredGraph, canonical_json
 
@@ -268,13 +267,11 @@ def verify_enabling(
 
 @dataclass(frozen=True, eq=False)
 class CliqueFamily:
-    """A finite family of size-k cliques of one colour, with the designated
-    clique of each covered vertex."""
+    """A finite family of size-k cliques of one colour."""
 
     colour: int
     k: int
     cliques: tuple[tuple[int, ...], ...]
-    covered: Optional[Mapping[int, int]] = None
 
     def __post_init__(self) -> None:
         for c in self.cliques:
@@ -282,12 +279,15 @@ class CliqueFamily:
                 raise ValueError(f"clique {c!r} is not a sorted duplicate-free tuple")
             if len(c) != self.k:
                 raise ValueError(f"clique {c!r} has size {len(c)}, expected {self.k}")
-        for v, i in (self.covered or {}).items():
-            if not 0 <= i < len(self.cliques):
-                raise ValueError(f"designated clique index {i} out of range")
-            c = self.cliques[i]  # sorted, so one bisection finds v if present
-            if not c or c[bisect_right(c, v) - 1] != v:
-                raise ValueError(f"vertex {v} not in its designated clique")
+
+    @property
+    def covered(self) -> dict[int, int]:
+        """Each covered vertex's designated clique: the index of the first
+        clique that holds it.  Under either ``choose_family`` policy that is
+        the vertex's lexicographically smallest clique of the colour, as the
+        family holds that clique and lists its cliques in lexicographic order."""
+        last_wins = {v: i for i, c in reversed([*enumerate(self.cliques)]) for v in c}
+        return dict(sorted(last_wins.items()))
 
 
 def choose_family(
@@ -297,21 +297,19 @@ def choose_family(
 
     ``per-vertex-lex`` collects, for each vertex, the lexicographically
     smallest size-k clique of the colour containing it; ``all-cliques``
-    enumerates every size-k clique of the colour, and designates each
-    vertex's first.  Under either policy a vertex in no such clique raises
-    NotEnabling, naming the smallest one.
+    enumerates every size-k clique of the colour.  Either way the cliques
+    come in lexicographic order.  Under either policy a vertex in no such
+    clique raises NotEnabling, naming the smallest one.
     """
     if policy == PER_VERTEX_LEX:
-        cliques, index = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
+        cliques = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)[0]
     elif policy == ALL_CLIQUES:
-        cliques, index = enumerate_cliques(g, colour, k), [-1] * g.n
-        for i in range(len(cliques) - 1, -1, -1):  # so each vertex ends on its first
-            for v in cliques[i]:
-                index[v] = i
+        cliques = enumerate_cliques(g, colour, k)
     else:
         raise ValueError(f"unknown family policy {policy!r}")
-    if -1 in index:
+    uncovered = set(range(g.n)).difference(*cliques)
+    if uncovered:
         raise NotEnabling(
-            f"vertex {index.index(-1)} lies in no size-{k} clique of colour {colour}"
+            f"vertex {min(uncovered)} lies in no size-{k} clique of colour {colour}"
         )
-    return CliqueFamily(colour, k, tuple(cliques), dict(enumerate(index)))
+    return CliqueFamily(colour, k, tuple(cliques))

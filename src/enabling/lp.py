@@ -1,11 +1,13 @@
 """Exact linear programming over the rationals.
 
 Maximises a linear objective over {x >= 0 : rows . x <= rhs} with every
-rhs >= 0.  That is the packing shape of the clique-measure LP: x = 0 is
-feasible, so the all-slack basis starts a single run of the tableau simplex
-with Bland's pivot rule (smallest eligible index, ties by smallest basic
-variable), which terminates on degenerate problems.  The tableau is sparse
-and fraction-free: each row is a dict of its nonzero integer numerators over
+rhs >= 0, each row given as the pair (coefficients, rhs) and every number
+as an int or a Fraction, never cast from another type.  That is the packing
+shape of the clique-measure LP: x = 0 is feasible, so the all-slack basis
+starts a single run of the tableau simplex with Bland's pivot rule
+(smallest eligible index, ties by smallest basic variable), which
+terminates on degenerate problems.  The tableau is sparse and
+fraction-free: each row is a dict of its nonzero integer numerators over
 its own positive denominator in lowest terms.  The objective is the last
 row: a pivot eliminates it like any other row, and the duals are read from
 it at the slack columns.  A pivot touches only the nonzeros of the rows
@@ -27,15 +29,12 @@ from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 __all__ = [
-    "LE",
     "AuditFailure",
     "LPError",
     "LPSolution",
     "Unbounded",
     "solve_lp_exact",
 ]
-
-LE = "<="
 
 
 class LPError(Exception):
@@ -63,7 +62,7 @@ class LPSolution:
     dual: tuple[Fraction, ...]
 
 
-Constraint = tuple[Sequence, str, object]
+Constraint = tuple[Sequence, object]
 
 
 class _Problem(NamedTuple):
@@ -81,9 +80,13 @@ class _Problem(NamedTuple):
     den: list[int]
 
 
-def _rational(x) -> int | Fraction:
-    # Ints and Fractions both carry .numerator and .denominator already.
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+def _rationals(xs: Sequence) -> list[int | Fraction]:
+    """xs as a list; an entry not an int or a Fraction raises ValueError."""
+    out = list(xs)
+    for x in out:
+        if type(x) not in (int, Fraction):
+            raise ValueError(f"{x!r} is not an int or a Fraction")
+    return out
 
 
 def _common_denominator(xs: Sequence[int | Fraction]) -> tuple[list[int], int]:
@@ -99,12 +102,12 @@ def _common_denominator(xs: Sequence[int | Fraction]) -> tuple[list[int], int]:
 def solve_lp_exact(objective: Sequence, constraints: Sequence[Constraint]) -> LPSolution:
     """Maximise a linear objective over {x >= 0 : constraints} exactly.
 
-    Each constraint is a triple (coefficients, "<=", rhs) with rhs >= 0;
-    any other relation, or a negative rhs, raises ValueError.  Raises
-    Unbounded as appropriate, and AuditFailure if the answer fails its own
-    optimality audit.
+    Each constraint is a pair (coefficients, rhs) for coefficients . x <= rhs,
+    and every number is an int or a Fraction; any other number, or a
+    negative rhs, raises ValueError.  Raises Unbounded as appropriate, and
+    AuditFailure if the answer fails its own optimality audit.
     """
-    c = [_rational(x) for x in objective]
+    c = _rationals(objective)
     problem = _integerise(c, constraints)
     x, y = _simplex(problem)
     value = sum((a * xi for a, xi in zip(c, x) if a), Fraction(0))
@@ -119,15 +122,12 @@ def _integerise(c: list[int | Fraction], constraints: Sequence[Constraint]) -> _
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
     dens: list[int] = []
-    for coeffs, rel, b in constraints:
-        coeffs = [_rational(x) for x in coeffs]
+    for coeffs, b in constraints:
+        *coeffs, b = _rationals([*coeffs, b])
         if len(coeffs) != nvars:
             raise ValueError(
                 f"constraint has {len(coeffs)} coefficients, expected {nvars}"
             )
-        if rel != LE:
-            raise ValueError(f"unsupported relation {rel!r}: every row must be {LE!r}")
-        b = _rational(b)
         if b < 0:
             raise ValueError(f"right-hand side {b} is negative: every rhs must be >= 0")
         row = {j: a for j, a in enumerate(coeffs) if a}
@@ -244,9 +244,9 @@ def _certify_optimal(
         raise AuditFailure("primal variable went negative")
     for row, b in zip(problem.rows, problem.rhs):
         if sum(a * xn[j] for j, a in row.items()) > b * xden:
-            raise AuditFailure(f"primal constraint violated on a {LE} row")
+            raise AuditFailure("primal constraint violated on a <= row")
     if any(yi < 0 for yi in y):
-        raise AuditFailure(f"dual sign violated on a {LE} row")
+        raise AuditFailure("dual sign violated on a <= row")
 
     # Row i is the given row times den[i], so its dual is y[i] / den[i].
     w = [Fraction(yi.numerator, yi.denominator * d) for yi, d in zip(y, problem.den)]

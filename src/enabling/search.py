@@ -224,7 +224,8 @@ def exists_enabling(
 
     Returns the first witness in ascending bitmask order, or found=False
     after covering the whole space; ``progress``, when given, is called with
-    the running mask count about every 2**20 graphs.
+    each multiple of 2**20 that the mask count passes, after every block of
+    up to 2**23 masks.
     """
     if n < 1 or k1 < 1 or k2 < 1:
         raise ValueError(f"n and targets must be positive, got {(n, k1, k2)}")
@@ -272,42 +273,38 @@ def exists_enabling(
         if ((tdeg + over) & high) or ((tdeg + lmmax + under) & high) != high:
             enumerated += nmid * nlow
             pruned += nmid * nlow
-            if progress is not None and enumerated >= next_tick:
-                while next_tick <= enumerated:
-                    progress(next_tick)
-                    next_tick += PROGRESS_STEP
-            continue
-        live0 = live1 = None
-        for h in range(nmid):
-            hdeg = tdeg + mdeg[h]
-            if ((hdeg + over) & high) or ((hdeg + lmax + under) & high) != high:
-                enumerated += nlow
-                pruned += nlow
-            else:
-                ok = every
-                for shift, win in windows:
-                    ok &= win[hdeg >> shift & 255]
-                if live0 is None:
-                    # Cut once per top value, only if a block passes the
-                    # window; ~t and ~h mark the edges lacking colour 0.
-                    live0 = _restrict(cover0, ~t << mid, nmid - 1)
-                    live1 = _restrict(cover1, t << mid, nmid - 1)
-                good = _covered(live1, h, _covered(live0, ~h, ok))
-                if good:
-                    # The lowest leaf of good is the first enabling mask.
-                    leaf = (good & -good).bit_length() - 1
-                    enumerated += leaf + 1
-                    pruned += leaf + 1 - (ok & ((2 << leaf) - 1)).bit_count()
-                    mask = (t << (mid + low)) | (h << low) | leaf
-                    return _report(
-                        n, k1, k2, mask, pairs, enumerated, pruned, t0
-                    )
-                enumerated += nlow
-                pruned += nlow - ok.bit_count()
-            if progress is not None and enumerated >= next_tick:
-                while next_tick <= enumerated:
-                    progress(next_tick)
-                    next_tick += PROGRESS_STEP
+        else:
+            live0 = live1 = None
+            for h in range(nmid):
+                hdeg = tdeg + mdeg[h]
+                if ((hdeg + over) & high) or ((hdeg + lmax + under) & high) != high:
+                    enumerated += nlow
+                    pruned += nlow
+                else:
+                    ok = every
+                    for shift, win in windows:
+                        ok &= win[hdeg >> shift & 255]
+                    if live0 is None:
+                        # Cut once per top value, only if a block passes the
+                        # window; ~t and ~h mark the edges lacking colour 0.
+                        live0 = _restrict(cover0, ~t << mid, nmid - 1)
+                        live1 = _restrict(cover1, t << mid, nmid - 1)
+                    good = _covered(live1, h, _covered(live0, ~h, ok))
+                    if good:
+                        # The lowest leaf of good is the first enabling mask.
+                        leaf = (good & -good).bit_length() - 1
+                        enumerated += leaf + 1
+                        pruned += leaf + 1 - (ok & ((2 << leaf) - 1)).bit_count()
+                        mask = (t << (mid + low)) | (h << low) | leaf
+                        return _report(
+                            n, k1, k2, mask, pairs, enumerated, pruned, t0
+                        )
+                    enumerated += nlow
+                    pruned += nlow - ok.bit_count()
+        if progress is not None and enumerated >= next_tick:
+            while next_tick <= enumerated:
+                progress(next_tick)
+                next_tick += PROGRESS_STEP
 
     if enumerated != total:
         raise LemmaViolation(f"the scan covered {enumerated} of {total} masks")

@@ -189,10 +189,10 @@ def test_construct_mu_keeps_its_error_texts():
 
 
 def test_pairwise_intersections():
-    f1 = CliqueFamily(colour=0, k=2, cliques=((0, 1), (2, 3)), covered=None)
-    f2 = CliqueFamily(colour=1, k=2, cliques=((0, 2), (1, 3)), covered=None)
+    f1 = CliqueFamily(colour=0, k=2, cliques=((0, 1), (2, 3)))
+    f2 = CliqueFamily(colour=1, k=2, cliques=((0, 2), (1, 3)))
     assert check_pairwise_intersections(f1, f2)
-    f3 = CliqueFamily(colour=1, k=3, cliques=((0, 1, 2),), covered=None)
+    f3 = CliqueFamily(colour=1, k=3, cliques=((0, 1, 2),))
     assert not check_pairwise_intersections(f1, f3)
     with pytest.raises(ValueError):
         check_pairwise_intersections(f1, f1)
@@ -329,6 +329,39 @@ def test_certify_multicolour_blocks():
     assert all(c.delta == F(1, 2) for c in res.certificates)
     assert res.bound <= g.n
     assert res.universal_lower is None
+
+
+@pytest.mark.parametrize("g, target, bound", [
+    (monochromatic_complete(5, r=1), (0, 5), 5),
+    (two_colour_extremal(2, 5), (1, 5), F(15, 2)),
+])
+def test_a_single_target_certifies_with_bound_k_over_delta(g, target, bound):
+    # One colour has no pair, so no mean-alpha floor: here delta > 1/2, and
+    # the bound k/delta is at most n because delta >= k/n.
+    for policy in (PER_VERTEX_LEX, ALL_CLIQUES):
+        res = certify(g, (target,), policy)
+        assert res.bound == target[1] / res.certificates[0].delta == bound
+        assert check_certificate(g, json.loads(res.to_json())) == []
+
+
+def test_every_single_target_of_the_small_extremal_graphs_certifies():
+    for k1, k2 in integer_extremal_pairs(27):
+        g = two_colour_extremal(k1, k2)
+        for target in ((0, k1), (1, k2)):
+            for policy in (PER_VERTEX_LEX, ALL_CLIQUES):
+                res = certify(g, (target,), policy)
+                assert check_certificate(g, json.loads(res.to_json())) == []
+
+
+@pytest.mark.parametrize("targets, message", [
+    (((0, 0),), "clique target must be positive, got 0"),
+    ((), "need at least one (colour, k) target"),
+])
+def test_verify_and_certify_refuse_a_target_below_one_or_none(targets, message):
+    for check in (verify_enabling, certify):
+        with pytest.raises(ValueError) as exc:
+            check(p4(), targets)
+        assert str(exc.value) == message
 
 
 def test_certify_prime_grid_is_tight():
@@ -489,6 +522,11 @@ PROBES = {
         4,
         lambda d: d["pairwise"][0].update(max_intersection=0),
         "max intersection 0 is not 1",
+    ),
+    "mu product sum tampered": (
+        4,
+        lambda d: d["pairwise"][0].update(mu_product_sum={"num": "1", "den": "2"}),
+        "pairwise (0, 1): mu product sum wrong or above 1",
     ),
     "intersection stored as 2": (
         4,

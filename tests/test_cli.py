@@ -9,7 +9,7 @@ import pytest
 
 from enabling import cli, lp, search
 from enabling.cli import main
-from enabling.graphs import EdgeColouredGraph
+from enabling.graphs import EdgeColouredGraph, monochromatic_complete
 
 
 def run(capsys, *argv):
@@ -75,6 +75,20 @@ def test_certify_exits_zero_and_emits_exact_rationals(tmp_path, capsys):
     deltas = [c["delta"] for c in doc["certificates"]]
     assert deltas == [{"num": "1", "den": "2"}, {"num": "1", "den": "2"}]
     assert doc["bound"]["ceiling"] == 4
+
+
+def test_certify_single_target_exits_zero(tmp_path, capsys):
+    # One colour of K5 has delta 1 > 1/2: its bound 5 is k/delta, and no
+    # invariant is falsified.
+    path = tmp_path / "k5.json"
+    path.write_text(monochromatic_complete(5, r=1).to_json())
+    assert run(capsys, "verify", "--graph", str(path), "--targets", "0:5")[0] == 0
+    code, out, _ = run(capsys, "certify", "--graph", str(path), "--targets", "0:5")
+    assert code == 0
+    assert json.loads(out)["bound"]["ceiling"] == 5
+    cert = tmp_path / "k5.cert.json"
+    cert.write_text(out)
+    assert run(capsys, "certify", "--graph", str(path), "--check", str(cert))[0] == 0
 
 
 def test_certify_failed_lp_audit_is_exit_three(tmp_path, capsys, monkeypatch):

@@ -196,29 +196,21 @@ def test_choose_family_unique_clique_either_policy():
 
 
 @pytest.mark.parametrize(
-    "cliques,covered,message",
+    "cliques,message",
     [
-        pytest.param(([0, 1],), None,
+        pytest.param(([0, 1],),
                      "clique [0, 1] is not a sorted duplicate-free tuple", id="list"),
-        pytest.param(((1, 0),), None,
+        pytest.param(((1, 0),),
                      "clique (1, 0) is not a sorted duplicate-free tuple", id="unsorted"),
-        pytest.param(((1, 1),), None,
+        pytest.param(((1, 1),),
                      "clique (1, 1) is not a sorted duplicate-free tuple", id="duplicate"),
-        pytest.param(((0, 1, 2),), None,
+        pytest.param(((0, 1, 2),),
                      "clique (0, 1, 2) has size 3, expected 2", id="size"),
-        pytest.param(((0, 1),), {0: 1},
-                     "designated clique index 1 out of range", id="index"),
-        pytest.param(((0, 1),), {2: 0},
-                     "vertex 2 not in its designated clique", id="vertex"),
-        pytest.param(((1, 2),), {0: 0},
-                     "vertex 0 not in its designated clique", id="vertex-below"),
-        pytest.param(((0, 2),), {1: 0},
-                     "vertex 1 not in its designated clique", id="vertex-between"),
     ],
 )
-def test_clique_family_rejects_malformed_cliques(cliques, covered, message):
+def test_clique_family_rejects_malformed_cliques(cliques, message):
     with pytest.raises(ValueError) as err:
-        CliqueFamily(0, 2, cliques, covered)
+        CliqueFamily(0, 2, cliques)
     assert str(err.value) == message
 
 
@@ -275,7 +267,9 @@ def test_one_walk_per_colour_gives_each_vertex_its_lex_least_clique(drawn, data)
             continue
         fam = choose_family(g, colour, k, PER_VERTEX_LEX)
         assert fam.cliques == tuple(sorted(set(wit)))
-        assert [fam.cliques[fam.covered[v]] for v in range(n)] == wit
+        # Under both policies each vertex's first clique is its lex-least one.
+        for fam in (fam, choose_family(g, colour, k, ALL_CLIQUES)):
+            assert [fam.cliques[fam.covered[v]] for v in range(n)] == wit
 
 
 def relabelled(g, seed):
@@ -354,14 +348,6 @@ def reference_lex_witnesses(adj, n, k, wanted):
     return out
 
 
-def reference_lex_family(colour, k, found):
-    """The per-vertex-lex family as it was built from the witnesses: their
-    distinct cliques sorted, each vertex designated its own."""
-    cliques = tuple(sorted(set(found.values())))
-    index = {c: i for i, c in enumerate(cliques)}
-    return CliqueFamily(colour, k, cliques, {v: index[w] for v, w in found.items()})
-
-
 def assert_walk_matches_reference(g, colour, k, wanted):
     adj = g.adjacency(colour)
     expected = reference_lex_witnesses(adj, g.n, k, wanted)
@@ -376,9 +362,10 @@ def assert_walk_matches_reference(g, colour, k, wanted):
     if None in expected:
         assert report.first_failure == (expected.index(None), colour)
         return
+    # The family is the distinct witnesses sorted, each vertex designated its own.
     fam = choose_family(g, colour, k, PER_VERTEX_LEX)
-    ref = reference_lex_family(colour, k, dict(enumerate(expected)))
-    assert fam.cliques == ref.cliques and fam.covered == ref.covered
+    assert fam.cliques == tuple(sorted(set(expected)))
+    assert fam.covered == {v: fam.cliques.index(w) for v, w in enumerate(expected)}
 
 
 @settings(max_examples=300, deadline=None)

@@ -49,6 +49,16 @@ def test_no_check_sits_in_an_assert(module):
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
+@pytest.mark.parametrize("module", LIBRARY, ids=lambda m: m.__name__)
+def test_no_library_module_holds_a_float_constant(module):
+    # Every number the library computes with is a Fraction or an int; only
+    # the command line's display hues may be floats.
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, (float, complex))] == []
+
+
 # Each module imports only from those before it: a helper two modules share
 # lives in the lower one, and no import cycle can form.
 IMPORT_ORDER = ["graphs", "lp", "constructions", "bounds", "cliques", "certificates",

@@ -1,9 +1,11 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction as F
 from math import lcm
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import enabling.lp as lp
-from enabling.lp import LE, AuditFailure, Unbounded, solve_lp_exact
+from enabling.lp import AuditFailure, Unbounded, solve_lp_exact
 
 
 # --- oracle: enumerate basic feasible points of a pointed region -------------
@@ -42,7 +44,7 @@ def brute_lp_max(objective, constraints):
     where nvars of the defining hyperplanes intersect.
     """
     nv = len(objective)
-    planes = [(list(map(F, a)), F(b)) for a, _, b in constraints]
+    planes = [(list(map(F, a)), F(b)) for a, b in constraints]
     for i in range(nv):
         planes.append(([F(int(i == j)) for j in range(nv)], F(0)))
     best = None
@@ -52,7 +54,7 @@ def brute_lp_max(objective, constraints):
         if x is None or any(v < 0 for v in x):
             continue
         if any(sum(F(ai) * xi for ai, xi in zip(a, x)) > F(b)
-               for a, _, b in constraints):
+               for a, b in constraints):
             continue
         val = sum(F(c) * xi for c, xi in zip(objective, x))
         if best is None or val > best:
@@ -64,7 +66,7 @@ def brute_lp_max(objective, constraints):
 
 
 def test_textbook_two_variable_maximum():
-    sol = solve_lp_exact([1, 1], [([1, 2], LE, 4), ([3, 1], LE, 6)])
+    sol = solve_lp_exact([1, 1], [([1, 2], 4), ([3, 1], 6)])
     assert sol.value == F(14, 5)
     assert sol.primal == (F(8, 5), F(6, 5))
 
@@ -74,9 +76,9 @@ def test_beale_degenerate_instance_terminates():
     sol = solve_lp_exact(
         [F(3, 4), -150, F(1, 50), -6],
         [
-            ([F(1, 4), -60, F(-1, 25), 9], LE, 0),
-            ([F(1, 2), -90, F(-1, 50), 3], LE, 0),
-            ([0, 0, 1, 0], LE, 1),
+            ([F(1, 4), -60, F(-1, 25), 9], 0),
+            ([F(1, 2), -90, F(-1, 50), 3], 0),
+            ([0, 0, 1, 0], 1),
         ],
     )
     assert sol.value == F(1, 20)
@@ -86,27 +88,35 @@ def test_beale_degenerate_instance_terminates():
 
 def test_unbounded_objective_raises():
     with pytest.raises(Unbounded):
-        solve_lp_exact([1, 0], [([-1, 1], LE, 1)])
+        solve_lp_exact([1, 0], [([-1, 1], 1)])
 
 
 def test_zero_rhs_start_is_fine():
-    sol = solve_lp_exact([1], [([1], LE, 0)])
+    sol = solve_lp_exact([1], [([1], 0)])
     assert sol.value == 0
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        solve_lp_exact([1, 1], [([1], LE, 0)])
-    with pytest.raises(ValueError):
-        solve_lp_exact([1], [([1], "<", 0)])
+        solve_lp_exact([1, 1], [([1], 0)])
+    # The objective is held to the same numbers as the rows.
+    for bad in (0.5, True, "1", Decimal(1)):
+        text = f"^{re.escape(repr(bad))} is not an int or a Fraction$"
+        with pytest.raises(ValueError, match=text):
+            solve_lp_exact([bad], [([1], 1)])
 
 
+# Every number is an int or a Fraction: anything else is refused, not cast.
 REFUSED = [
-    ([([1], ">=", 1)], "unsupported relation '>='"),
-    ([([1], "==", 1)], "unsupported relation '=='"),
-    ([([1], LE, -2)], "right-hand side -2 is negative"),
+    ([([1], 0.1)], "0.1 is not an int or a Fraction"),
+    ([([True], 1)], "True is not an int or a Fraction"),
+    ([([1], -2)], "right-hand side -2 is negative"),
     # A refused row after a valid one still refuses the whole problem.
-    ([([1], LE, 1), ([1], LE, F(-1, 2))], "right-hand side -1/2 is negative"),
+    ([([1], 1), ([1], F(-1, 2))], "right-hand side -1/2 is negative"),
+    ([([1], "1")], "'1' is not an int or a Fraction"),
+    ([([Decimal("0.5")], 1)], r"Decimal\('0.5'\) is not an int or a Fraction"),
+    ([([1], False)], "False is not an int or a Fraction"),
+    ([([1.0], 1)], "1.0 is not an int or a Fraction"),
 ]
 
 
@@ -143,23 +153,23 @@ def test_rows_outside_the_packing_shape_are_refused(constraints, match, monkeypa
 def test_there_is_no_minimise_switch(monkeypatch):
     log = _spy(monkeypatch)
     with pytest.raises(TypeError):
-        solve_lp_exact([1], [([1], LE, 1)], maximize=False)
+        solve_lp_exact([1], [([1], 1)], maximize=False)
     assert log == []
 
 
 def test_duals_satisfy_signs_and_strong_duality():
     # The third row is slack at the optimum, so its dual is zero.
-    cons = [([1, 2], LE, 4), ([3, 1], LE, 6), ([1, 1], LE, 3)]
+    cons = [([1, 2], 4), ([3, 1], 6), ([1, 1], 3)]
     sol = solve_lp_exact([1, 1], cons)
     assert sol.dual[0] > 0 and sol.dual[1] > 0 and sol.dual[2] == 0
-    assert sum(y * F(b) for y, (_, _, b) in zip(sol.dual, cons)) == sol.value
+    assert sum(y * F(b) for y, (_, b) in zip(sol.dual, cons)) == sol.value
 
 
 def test_each_solve_is_audited_once_on_its_own_answer(monkeypatch):
     log = _spy(monkeypatch)
     sols = [
-        solve_lp_exact([1], [([1], LE, 5)]),
-        solve_lp_exact([F(1, 2), 1], [([1, 1], LE, 9), ([1, 0], LE, 2)]),
+        solve_lp_exact([1], [([1], 5)]),
+        solve_lp_exact([F(1, 2), 1], [([1, 1], 9), ([1, 0], 2)]),
     ]
     assert [kind for kind, _, _ in log] == ["simplex", "audit", "passed"] * 2
     for sol, solve in zip(sols, (log[:3], log[3:])):
@@ -177,11 +187,10 @@ def _random_bounded_lp(rng, nv):
         rows.append(
             (
                 [rng.randint(-3, 3) for _ in range(nv)],
-                LE,
                 rng.randint(0, 6),
             )
         )
-    rows.append(([1] * nv, LE, rng.randint(1, 8)))  # keeps the region bounded
+    rows.append(([1] * nv, rng.randint(1, 8)))  # keeps the region bounded
     obj = [rng.randint(-4, 4) for _ in range(nv)]
     return obj, rows
 
@@ -190,16 +199,16 @@ def _assert_duals_optimal(objective, constraints, sol):
     """Dual signs, dual feasibility and strong duality, in Fractions."""
     assert all(y >= 0 for y in sol.dual)
     for j, c in enumerate(objective):
-        assert sum(y * F(a[j]) for y, (a, _, _) in zip(sol.dual, constraints)) >= c
-    assert sum(y * F(b) for y, (_, _, b) in zip(sol.dual, constraints)) == sol.value
+        assert sum(y * F(a[j]) for y, (a, _) in zip(sol.dual, constraints)) >= c
+    assert sum(y * F(b) for y, (_, b) in zip(sol.dual, constraints)) == sol.value
 
 
 def test_random_le_systems_match_oracle():
     # Four rows through the optimum (1, 1) of a two-variable problem: a
     # degenerate vertex, ahead of the random instances.
     instances = [
-        ([1, 1], [([1, -1], LE, 0), ([1, 1], LE, 2), ([1, 0], LE, 1),
-                  ([2, -1], LE, 1)]),
+        ([1, 1], [([1, -1], 0), ([1, 1], 2), ([1, 0], 1),
+                  ([2, -1], 1)]),
     ]
     rng = random.Random(20260814)
     for _ in range(120):
@@ -218,9 +227,9 @@ def test_random_le_systems_match_oracle():
 # x = (2, 3/2), y = (4/3, 0, 1/3), value 7/2.
 AUDIT_OBJECTIVE = [1, 1]
 AUDIT_ROWS = [
-    ([F(1, 2), 1], LE, F(5, 2)),
-    ([1, F(1, 3)], LE, F(10, 3)),
-    ([1, -1], LE, F(1, 2)),
+    ([F(1, 2), 1], F(5, 2)),
+    ([1, F(1, 3)], F(10, 3)),
+    ([1, -1], F(1, 2)),
 ]
 AUDIT_X = [F(2), F(3, 2)]
 AUDIT_Y = [F(4, 3), F(0), F(1, 3)]

@@ -21,7 +21,7 @@ from enabling.cliques import (
     ALL_CLIQUES, CliqueFamily, choose_family, enumerate_cliques)
 from enabling.constructions import p4_blowup
 from enabling.graphs import EdgeColouredGraph, monochromatic_complete, pair_count
-from enabling.lp import LE, AuditFailure, LPSolution, solve_lp_exact
+from enabling.lp import AuditFailure, LPSolution, solve_lp_exact
 
 
 @st.composite
@@ -43,8 +43,8 @@ def symmetric_families(draw):
 
 def _full_size_delta(n, cliques):
     """The LP compute_delta reduces, solved at full size."""
-    rows = [([-1 if v in c else 0 for v in range(n)] + [1], LE, 0) for c in cliques]
-    rows.append(([1] * n + [0], LE, 1))
+    rows = [([-1 if v in c else 0 for v in range(n)] + [1], 0) for c in cliques]
+    rows.append(([1] * n + [0], 1))
     return solve_lp_exact([0] * n + [1], rows).value
 
 

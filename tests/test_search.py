@@ -251,6 +251,10 @@ def test_progress_callback_fires_on_big_scans():
     rep = exists_enabling(7, 3, 3, progress=ticks.append)
     assert not rep.found
     assert ticks == [1 << 20, 1 << 21]  # full scan, one line per 2^20 masks
+    # n = 8 splits the scan into 32 top blocks; those pruned whole tick too.
+    ticks = []
+    assert not exists_enabling(8, 2, 6, progress=ticks.append).found
+    assert ticks == [i << 20 for i in range(1, 257)]
 
 
 def test_rejects_oversized_and_invalid_input():
