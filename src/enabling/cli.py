@@ -4,9 +4,10 @@ Subcommands: construct, verify, certify, bound, search, export-dot.  All
 structured output is canonical JSON (sorted keys, no spaces) on standard
 out; logs and progress go to standard error.  Exit codes: 0 success, 1
 negative mathematical answer (not enabling / no witness), 2 usage or input
-error, 3 a falsified internal invariant, which would indicate a genuine bug
-in the underlying mathematics or this implementation.  A flag the chosen
-mode ignores is a usage error.  The parser is built once, at the first call.
+error or too little memory, 3 a falsified internal invariant, which would
+indicate a genuine bug in the underlying mathematics or this
+implementation.  A flag the chosen mode ignores is a usage error.  The
+parser is built once, at the first call.
 """
 
 from __future__ import annotations
@@ -215,8 +216,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     lines = ["graph enabling {", "  node [shape=circle];"]
     for v in range(g.n):
         lines.append(f"  {v};")
-    for (u, v), c in zip(pairs(g.n), g.colours):
-        lines.append(f'  {u} -- {v} [color="{_colour_name(c)}"];')
+    for u, v in pairs(g.n):
+        lines.append(f'  {u} -- {v} [color="{_colour_name(g.colour_of(u, v))}"];')
     lines.append("}")
     _emit("\n".join(lines), args.output)
     return 0
@@ -299,6 +300,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
+        return 2
+    except MemoryError:
+        # Most often certify's default policy, which holds every clique.
+        _log("error: out of memory; certify --policy lex holds far fewer cliques")
         return 2
 
 

@@ -103,7 +103,7 @@ def two_colour_extremal(k1: int, k2: int) -> EdgeColouredGraph:
         cross[j : wrap * blue : blue] = bytes(wrap)
     rows = [bytes(red - 1 - u) + cross[u * blue : u * blue + blue] for u in range(red)]
     rows.append(b"\x01" * pair_count(blue))
-    return EdgeColouredGraph(red + blue, 2, tuple(b"".join(rows)))
+    return EdgeColouredGraph(red + blue, 2, b"".join(rows))
 
 
 def integer_extremal_pairs(n_max: int) -> list[tuple[int, int]]:

@@ -2,6 +2,9 @@
 
 The colour of every unordered pair {u, v} is stored in a fixed
 upper-triangular order: (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1).
+Below 257 colours the store is one immutable ``bytes`` object, one byte a
+pair; from 257 on it is a tuple of ints.  ``colours`` reads it as a tuple
+copied afresh on every read, O(n^2), so look pairs up with ``colour_of``.
 All lookups are exact integer operations; the JSON form round-trips
 byte-for-byte.  Neighbour bitmasks of every colour but the last come from
 one byte matrix of pair colours per graph, one ``translate`` and n
@@ -82,43 +85,66 @@ def _pair_matrix(n: int, codes: bytes) -> bytearray:
     return matrix[::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class EdgeColouredGraph:
-    """A complete graph on vertices 0..n-1 whose edges carry colours 0..r-1."""
+    """A complete graph on vertices 0..n-1 whose edges carry colours 0..r-1.
+
+    ``EdgeColouredGraph(n, r, colours)`` takes the pair colours in pair
+    order as any sequence of ints; graphs of equal n, r and colours compare
+    and hash equal whatever sequence type they were built from."""
 
     n: int
     r: int
-    colours: tuple[int, ...]
-    _adjacency: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _store: bytes | tuple[int, ...]
+    _adjacency: dict = field(compare=False)
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.r) is not int:
+    def __init__(self, n: int, r: int, colours: Sequence[int]) -> None:
+        if type(n) is not int or type(r) is not int:
             raise ValueError("graph fields n and r must be integers")
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
-        if self.r < 1:
-            raise ValueError(f"need at least one colour, got r={self.r}")
-        expected = pair_count(self.n)
-        if len(self.colours) != expected:
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
+        if r < 1:
+            raise ValueError(f"need at least one colour, got r={r}")
+        expected = pair_count(n)
+        if len(colours) != expected:
             raise ValueError(
-                f"colour sequence has length {len(self.colours)}, "
-                f"expected {expected} for n={self.n}"
+                f"colour sequence has length {len(colours)}, "
+                f"expected {expected} for n={n}"
             )
         # Passes that run in C, not a Python loop: every graph built is checked.
-        strays = sorted(t.__name__ for t in set(map(type, self.colours)) - {int})
-        if strays:
-            raise ValueError(f"colours must be integers, got {', '.join(strays)}")
-        used = set(self.colours)  # at most r values, so min and max are cheap
-        lo, hi = min(used, default=0), max(used, default=0)
-        if lo < 0 or hi >= self.r:
-            bad = lo if lo < 0 else hi
-            raise ValueError(f"colour {bad} outside range 0..{self.r - 1}")
+        if type(colours) is bytes:
+            # What deleting the bytes 0..r-1 leaves is out of range.
+            outside = colours.translate(None, bytes(range(min(r, 256))))
+            if outside:
+                raise ValueError(f"colour {max(outside)} outside range 0..{r - 1}")
+        else:
+            strays = sorted(t.__name__ for t in set(map(type, colours)) - {int})
+            if strays:
+                raise ValueError(f"colours must be integers, got {', '.join(strays)}")
+            used = set(colours)  # at most r values, so min and max are cheap
+            lo, hi = min(used, default=0), max(used, default=0)
+            if lo < 0 or hi >= r:
+                bad = lo if lo < 0 else hi
+                raise ValueError(f"colour {bad} outside range 0..{r - 1}")
+        # bytes(b) of a bytes b is b itself; a bytearray is copied, so a
+        # later write to it leaves the graph as it was.
+        store = bytes(colours) if r <= 256 else tuple(colours)
+        object.__setattr__(self, "n", n)  # frozen: fields are set here only
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "_store", store)
+        object.__setattr__(self, "_adjacency", {})
+
+    def __repr__(self) -> str:
+        return f"EdgeColouredGraph(n={self.n}, r={self.r}, colours={self._store!r})"
+
+    @property
+    def colours(self) -> tuple[int, ...]:
+        """The pair colours in pair order, as a tuple built on every read."""
+        return tuple(self._store)
 
     def colour_of(self, u: int, v: int) -> int:
         """Colour of the edge {u, v}; symmetric in its arguments."""
-        return self.colours[pair_index(self.n, u, v)]
+        return self._store[pair_index(self.n, u, v)]
 
     def adjacency(self, colour: int) -> tuple[int, ...]:
         """Per-vertex neighbour bitmasks of one colour class, cached.
@@ -134,9 +160,9 @@ class EdgeColouredGraph:
         if colour not in cache:
             n, r = self.n, self.r
             if r < 256:
-                codes, wanted = bytearray(self.colours), {c: c for c in range(r - 1)}
+                codes, wanted = self._store, {c: c for c in range(r - 1)}
             else:
-                codes, wanted = bytes(c == colour for c in self.colours), {colour: 1}
+                codes, wanted = bytes(c == colour for c in self._store), {colour: 1}
             matrix, starts = _pair_matrix(n, codes), range(n * n - n, -1, -n)
             # The last colour's rows, built lazily: read only below 256.
             rest = (((1 << n) - 1) ^ (1 << u) for u in range(n))
@@ -157,7 +183,7 @@ class EdgeColouredGraph:
         ms = vertex_set(members, self.n)
         if not 0 <= colour < self.r:
             raise ValueError(f"colour {colour} outside range 0..{self.r - 1}")
-        cols = self.colours
+        cols = self._store
         n = self.n
         for i, u in enumerate(ms):
             base = u * (2 * n - u - 1) // 2 - u - 1
@@ -168,12 +194,17 @@ class EdgeColouredGraph:
 
     def permute_colours(self, perm: Sequence[int]) -> "EdgeColouredGraph":
         """Relabel colours by a bijection ``perm`` (colour c becomes perm[c])."""
-        if sorted(perm) != list(range(self.r)):
+        if sorted(perm) != list(range(self.r)) or set(map(type, perm)) != {int}:
             raise ValueError(f"{perm!r} is not a permutation of 0..{self.r - 1}")
-        return EdgeColouredGraph(self.n, self.r, tuple(perm[c] for c in self.colours))
+        store = self._store
+        if type(store) is bytes:
+            store = store.translate(bytes(perm).ljust(256, b"\0"))
+        else:
+            store = tuple(perm[c] for c in store)
+        return EdgeColouredGraph(self.n, self.r, store)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "r": self.r, "colours": list(self.colours)}
+        return {"n": self.n, "r": self.r, "colours": list(self._store)}
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
@@ -184,7 +215,7 @@ class EdgeColouredGraph:
             n, r, colours = doc["n"], doc["r"], doc["colours"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"graph document missing field: {exc}") from None
-        return cls(n, r, tuple(colours))
+        return cls(n, r, colours)
 
     @classmethod
     def from_json(cls, text: str) -> "EdgeColouredGraph":
@@ -193,19 +224,20 @@ class EdgeColouredGraph:
 
 def build(n: int, r: int, colours: Sequence[int]) -> EdgeColouredGraph:
     """Construct a graph from an explicit colour sequence in canonical order."""
-    return EdgeColouredGraph(n, r, tuple(colours))
+    return EdgeColouredGraph(n, r, colours)
 
 
 def from_simple_graph(n: int, edges: Iterable[tuple[int, int]]) -> EdgeColouredGraph:
     """Two-colour a complete graph: listed edges get colour 0, the rest colour 1."""
-    cols = [1] * pair_count(n)
+    cols = bytearray(b"\x01") * pair_count(n)
     for u, v in edges:
         cols[pair_index(n, u, v)] = 0
-    return EdgeColouredGraph(n, 2, tuple(cols))
+    return EdgeColouredGraph(n, 2, bytes(cols))
 
 
 def monochromatic_complete(n: int, r: int = 2, colour: int = 0) -> EdgeColouredGraph:
     """Complete graph with every edge in one colour; handy for small tests."""
     if not 0 <= colour < r:
         raise ValueError(f"colour {colour} outside range 0..{r - 1}")
-    return EdgeColouredGraph(n, r, tuple([colour] * pair_count(n)))
+    one = bytes([colour]) if colour < 256 else (colour,)
+    return EdgeColouredGraph(n, r, one * pair_count(n))

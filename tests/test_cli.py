@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from enabling import cli, lp, search
+from enabling import certificates, cli, lp, search
 from enabling.cli import main
 from enabling.graphs import EdgeColouredGraph, monochromatic_complete
 
@@ -106,6 +106,22 @@ def test_certify_failed_lp_audit_is_exit_three(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "invariant falsified: dual constraint violated" in err
+
+
+def test_certify_out_of_memory_is_exit_two_with_one_hint(tmp_path, capsys, monkeypatch):
+    # The default policy holds every clique; a graph with too many of them
+    # runs out of memory inside certify.
+    path = tmp_path / "k5.json"
+    path.write_text(monochromatic_complete(5, r=1).to_json())
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(certificates, "certify", exhausted)
+    code, out, err = run(capsys, "certify", "--graph", str(path), "--targets", "0:5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--policy lex" in err
 
 
 def test_certify_check_mode_round_trips(tmp_path, capsys):
