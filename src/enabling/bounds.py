@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .constructions import _ceil_two_sqrt, _extremal_parts, _is_prime
+from .lp import _rationals
 
 __all__ = [
     "BoundReport",
@@ -31,6 +32,13 @@ __all__ = [
 
 class LemmaViolation(Exception):
     """A mathematically guaranteed inequality failed on concrete data."""
+
+
+def _integers(*xs) -> None:
+    """Raise ValueError on any of xs whose type is not int; bools included."""
+    for x in xs:
+        if type(x) is not int:
+            raise ValueError(f"{x!r} is not an int")
 
 
 def two_colour_lower(k1: int, k2: int) -> int:
@@ -69,7 +77,7 @@ def improved_inequality(xs: Sequence) -> Fraction:
     The value is nonnegative on the whole cube; it vanishes iff exactly one
     coordinate is 1 and the rest are 0.
     """
-    vals = [Fraction(x) for x in xs]
+    vals = [Fraction(x) for x in _rationals(xs)]
     for v in vals:
         if not 0 <= v <= 1:
             raise ValueError(f"coordinate {v} outside [0, 1]")
@@ -79,18 +87,20 @@ def improved_inequality(xs: Sequence) -> Fraction:
 
 
 def f_eval(m: int, k: int, x) -> Fraction:
-    """The quadratic k*m*x - (m*(m-1)/2)*x^2 in exact arithmetic."""
+    """The quadratic k*m*x - (m*(m-1)/2)*x^2 in exact arithmetic; m and k
+    must be ints, x an int or a Fraction."""
+    _integers(m, k)
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    x = Fraction(x)
+    [x] = _rationals([x])
     return k * m * x - Fraction(m * (m - 1), 2) * x * x
 
 
 def f_max(r: int, k: int, x) -> Fraction:
-    """max over 0 <= m <= r of f_eval(m, k, x)."""
+    """max over 0 <= m <= r of f_eval(m, k, x), which checks k and x."""
+    _integers(r)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    x = Fraction(x)
     return max(f_eval(m, k, x) for m in range(r + 1))
 
 

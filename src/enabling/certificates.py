@@ -43,7 +43,9 @@ from math import ceil
 from operator import and_
 from typing import Iterable, Sequence
 
-from .bounds import LemmaViolation, _sqrt_sum_squared, f_max, two_colour_lower
+from .bounds import (
+    LemmaViolation, _integers, _sqrt_sum_squared, f_max, two_colour_lower
+)
 from .cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
@@ -53,7 +55,7 @@ from .cliques import (
     choose_family,
 )
 from .graphs import EdgeColouredGraph, canonical_json
-from .lp import AuditFailure, _common_denominator, solve_lp_exact
+from .lp import AuditFailure, _common_denominator, _rationals, solve_lp_exact
 
 __all__ = [
     "ColourCertificate",
@@ -163,7 +165,8 @@ def _refine(n: int, cliques: Sequence[Sequence[int]]) -> tuple[list[int], list[i
 
 class _Duals(tuple):
     """Clique duals; ``lifted`` holds the cliques, the duals as integers and
-    their vertex masses from ``compute_delta``'s audit, for ``construct_mu``."""
+    their vertex masses from ``compute_delta``'s audit, for ``construct_mu``
+    and ``certify``."""
 
 
 def compute_delta(
@@ -249,7 +252,6 @@ def construct_mu(
     masses = masses or _vertex_masses(g.n, fam.cliques, nums)
     if max(masses) * delta.denominator > delta.numerator * total:
         raise LemmaViolation(f"a mu vertex mass exceeds delta={delta}")
-    object.__setattr__(mu, "_masses", (masses, total))  # certify keeps these as is
     return mu
 
 
@@ -294,11 +296,13 @@ def two_colour_bound(k1: int, k2: int, delta1, delta2) -> Fraction:
 
     Any d in [delta1, 1-delta2] yields a valid bound, so the maximum over
     that interval is returned.  The objective is convex in d, so that
-    maximum sits at an endpoint, delta1 or 1-delta2.
+    maximum sits at an endpoint, delta1 or 1-delta2.  The targets must be
+    ints, the measure values ints or Fractions.
     """
+    _integers(k1, k2)
     if k1 < 1 or k2 < 1:
         raise ValueError(f"clique targets must be positive, got ({k1}, {k2})")
-    d1, d2 = Fraction(delta1), Fraction(delta2)
+    d1, d2 = _rationals([delta1, delta2])
     if d1 <= 0 or d2 <= 0:
         raise ValueError("measure values must be positive")
     if d1 + d2 > 1:
@@ -484,6 +488,7 @@ def certify(
     fams = [choose_family(g, colour, k, policy) for colour, k in targets]
 
     certs: list[ColourCertificate] = []
+    masses = []  # each colour's integer mu vertex masses over their denominator
     for (colour, k), fam in zip(targets, fams):
         delta, lam, duals = compute_delta(g, fam)
         if not support_clique_check(g, colour, lam, delta):
@@ -492,19 +497,21 @@ def certify(
                 f"colour-{colour} clique"
             )
         mu = construct_mu(g, fam, delta, duals)
-        ints, total = mu._masses
+        _, nums, ints = duals.lifted  # mu is nums over their sum
+        total = sum(nums)
+        masses.append((ints, total))
         share = {a: Fraction(a, total) for a in set(ints)}
         certs.append(ColourCertificate(colour, k, fam, delta, 1 / delta, lam, mu,
                                        tuple(map(share.__getitem__, ints))))
 
     pairwise: list[PairwiseCheck] = []
-    for ci, cj in combinations(certs, 2):
+    for (ci, mi), (cj, mj) in combinations(zip(certs, masses), 2):
         dsum = ci.delta + cj.delta
         if dsum > 1:
             raise LemmaViolation(
                 f"delta[{ci.colour}] + delta[{cj.colour}] = {dsum} > 1"
             )
-        psum = _product_sum(ci.mu._masses, cj.mu._masses)
+        psum = _product_sum(mi, mj)
         if psum > 1:
             raise LemmaViolation(
                 f"mu-mass product sum for colours "

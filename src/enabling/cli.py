@@ -302,8 +302,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _log(f"error: {exc}")
         return 2
     except MemoryError:
-        # Most often certify's default policy, which holds every clique.
-        _log("error: out of memory; certify --policy lex holds far fewer cliques")
+        # certify's default policy holds every clique; lex holds far fewer.
+        holds_all = (args.func is _cmd_certify and args.check is None
+                     and (args.policy or "all") == "all")
+        hint = "; certify --policy lex holds far fewer cliques" if holds_all else ""
+        _log(f"error: out of memory{hint}")
         return 2
 
 

@@ -227,6 +227,8 @@ class EnablingReport:
 def _check_targets(g: EdgeColouredGraph, targets: Sequence[tuple[int, int]]) -> None:
     seen = set()
     for colour, k in targets:
+        if type(colour) is not int or type(k) is not int:
+            raise ValueError(f"target ({colour!r}, {k!r}) is not a pair of ints")
         if not 0 <= colour < g.r:
             raise ValueError(f"colour {colour} outside range 0..{g.r - 1}")
         if k < 1:

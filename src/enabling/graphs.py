@@ -6,16 +6,19 @@ Below 257 colours the store is one immutable ``bytes`` object, one byte a
 pair; from 257 on it is a tuple of ints.  ``colours`` reads it as a tuple
 copied afresh on every read, O(n^2), so look pairs up with ``colour_of``.
 All lookups are exact integer operations; the JSON form round-trips
-byte-for-byte.  Neighbour bitmasks of every colour but the last come from
-one byte matrix of pair colours per graph, one ``translate`` and n
-``int(row, 2)`` a colour; the last colour's are what the others leave, as
-every pair has exactly one colour.
+byte-for-byte.  Colour classes are read one way, from bytes: neighbour
+bitmasks of every colour but the last come from one byte matrix of pair
+colours per graph, one ``translate`` and n ``int(row, 2)`` a colour, and the
+last colour's are what the others leave, as every pair has exactly one
+colour.  From 257 colours on, each class is read as colour 0 of a two-colour
+byte graph.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
@@ -90,8 +93,9 @@ class EdgeColouredGraph:
     """A complete graph on vertices 0..n-1 whose edges carry colours 0..r-1.
 
     ``EdgeColouredGraph(n, r, colours)`` takes the pair colours in pair
-    order as any sequence of ints; graphs of equal n, r and colours compare
-    and hash equal whatever sequence type they were built from."""
+    order as any sequence of ints and stores them as bytes below 257 colours,
+    as a tuple from 257 on; graphs of equal n, r and colours compare and hash
+    equal whatever sequence type they were built from."""
 
     n: int
     r: int
@@ -149,30 +153,29 @@ class EdgeColouredGraph:
     def adjacency(self, colour: int) -> tuple[int, ...]:
         """Per-vertex neighbour bitmasks of one colour class, cached.
 
-        Below 256 colours the first call reads colours 0..r-2 from one
+        On a byte store the first call reads colours 0..r-2 from one
         ``_pair_matrix``, one ``translate`` and n ``int(row, 2)`` a colour,
-        and gives the last colour what they leave: every pair has exactly
-        one colour.  From 256 on, the diagonal byte 255 could be a colour,
-        so each colour gets a matrix of its own 0/1 flags."""
+        and gives colour r-1 what they leave: every pair has exactly one
+        colour, and the diagonal byte 255 is never one of 0..r-2.  A tuple
+        store reads colour c as colour 0 of the two-colour byte graph whose
+        pairs of colour c are 0 and all others 1."""
         if not 0 <= colour < self.r:
             raise ValueError(f"colour {colour} outside range 0..{self.r - 1}")
-        cache = self._adjacency
-        if colour not in cache:
-            n, r = self.n, self.r
-            if r < 256:
-                codes, wanted = self._store, {c: c for c in range(r - 1)}
-            else:
-                codes, wanted = bytes(c == colour for c in self._store), {colour: 1}
-            matrix, starts = _pair_matrix(n, codes), range(n * n - n, -1, -n)
-            # The last colour's rows, built lazily: read only below 256.
+        cache, n, store = self._adjacency, self.n, self._store
+        if colour in cache:
+            return cache[colour]
+        if type(store) is bytes:
+            matrix, starts = _pair_matrix(n, store), range(n * n - n, -1, -n)
             rest = (((1 << n) - 1) ^ (1 << u) for u in range(n))
-            for c, code in wanted.items():
+            for c in range(self.r - 1):
                 # As ASCII digits, int(row, 2) has bit v set where (u, v) has c.
-                digits = matrix.translate(b"0" * code + b"1" + b"0" * (255 - code))
+                digits = matrix.translate(b"0" * c + b"1" + b"0" * (255 - c))
                 cache[c] = tuple(int(digits[i : i + n], 2) for i in starts)
                 rest = map(xor, rest, cache[c])
-            if r < 256:
-                cache[r - 1] = tuple(rest)
+            cache[self.r - 1] = tuple(rest)
+        else:
+            flags = bytes(c != colour for c in store)
+            cache[colour] = EdgeColouredGraph(n, 2, flags).adjacency(0)
         return cache[colour]
 
     def is_monochromatic_clique(self, members: Iterable[int], colour: int) -> bool:
@@ -183,14 +186,7 @@ class EdgeColouredGraph:
         ms = vertex_set(members, self.n)
         if not 0 <= colour < self.r:
             raise ValueError(f"colour {colour} outside range 0..{self.r - 1}")
-        cols = self._store
-        n = self.n
-        for i, u in enumerate(ms):
-            base = u * (2 * n - u - 1) // 2 - u - 1
-            for v in ms[i + 1 :]:
-                if cols[base + v] != colour:
-                    return False
-        return True
+        return all(self.colour_of(u, v) == colour for u, v in combinations(ms, 2))
 
     def permute_colours(self, perm: Sequence[int]) -> "EdgeColouredGraph":
         """Relabel colours by a bijection ``perm`` (colour c becomes perm[c])."""

@@ -1,8 +1,10 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction as F
 from math import isqrt
 
@@ -21,6 +23,7 @@ from enabling.bounds import (
     two_colour_lower,
     two_colour_report,
 )
+from enabling.certificates import two_colour_bound
 
 
 def test_two_colour_lower_known_values():
@@ -257,3 +260,46 @@ def test_multicolour_report_has_no_block_formula_entry():
             # The dropped value 2rk - 2r(r-1) is f_eval(r, k, 2), so the
             # reported quadratic bound is never below it.
             assert prov["quadratic_at_2"] >= 2 * r * k - 2 * r * (r - 1) == f_eval(r, k, 2)
+
+
+# Each bound function with one argument left open: a measure value, or an
+# integer parameter.
+MEASURE_SLOTS = {
+    "f_eval": lambda x: f_eval(2, 3, x),
+    "f_max": lambda x: f_max(2, 3, x),
+    "improved_inequality": lambda x: improved_inequality([F(1, 2), x]),
+    "two_colour_bound_delta1": lambda x: two_colour_bound(3, 3, x, F(1, 4)),
+    "two_colour_bound_delta2": lambda x: two_colour_bound(3, 3, F(1, 4), x),
+}
+INTEGER_SLOTS = {
+    "f_eval_m": lambda m: f_eval(m, 3, 1),
+    "f_eval_k": lambda k: f_eval(2, k, 1),
+    "f_max_r": lambda r: f_max(r, 3, 1),
+    "f_max_k": lambda k: f_max(2, k, 1),
+    "two_colour_bound_k1": lambda k: two_colour_bound(k, 3, F(1, 4), F(1, 4)),
+    "two_colour_bound_k2": lambda k: two_colour_bound(3, k, F(1, 4), F(1, 4)),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.1, "1/4", Decimal("0.5"), True], ids=repr)
+@pytest.mark.parametrize("slot", MEASURE_SLOTS)
+def test_a_measure_value_is_an_int_or_a_fraction_never_cast(slot, bad):
+    # Fraction(0.1) is 3602879701896397/2**55, and Fraction("1/4") a parse.
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(bad))} is not an int "
+                                         r"or a Fraction$"):
+        MEASURE_SLOTS[slot](bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 3.0, "3", Decimal(3), F(3), True], ids=repr)
+@pytest.mark.parametrize("slot", INTEGER_SLOTS)
+def test_an_integer_parameter_is_an_int(slot, bad):
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(bad))} is not an int$"):
+        INTEGER_SLOTS[slot](bad)
+
+
+def test_ints_and_fractions_keep_their_values():
+    assert [MEASURE_SLOTS[s](F(1, 4)) for s in MEASURE_SLOTS] == [
+        F(23, 16), F(23, 16), F(3, 8), F(32, 3), F(32, 3)]
+    assert [INTEGER_SLOTS[s](3) for s in INTEGER_SLOTS] == [
+        6, 5, 6, 5, F(32, 3), F(32, 3)]
+    assert f_eval(2, 3, 2) == f_max(2, 3, 2) == 8 and improved_inequality([0, 1]) == 0

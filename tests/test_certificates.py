@@ -1126,6 +1126,31 @@ def test_construct_mu_reads_the_same_from_plain_duals():
             delta, _, duals = compute_delta(g, fam)
             mu = construct_mu(g, fam, delta, duals)
             copy = CliqueFamily(colour, k, tuple(map(tuple, fam.cliques)))
+            # certify reads mu's vertex masses from the lifted duals.
+            _, nums, ints = duals.lifted
+            masses = tuple(F(m, sum(nums)) for m in ints)
+            assert masses == mu_vertex_masses(g.n, fam, mu)
             for plain, family in ((tuple(duals), fam), (duals, copy)):
                 other = construct_mu(g, family, delta, plain)
-                assert other == mu and other._masses == mu._masses
+                assert other == mu and mu_vertex_masses(g.n, family, other) == masses
+
+
+# Targets whose colour or k is not an int: a bool, a float or a string.
+BAD_TARGETS = [((0, True), (1, 3)), ((0.0, 3),), ((0, 3.0),), ((True, 3),), ((0, "3"),)]
+
+
+@pytest.mark.parametrize("targets", BAD_TARGETS, ids=repr)
+@pytest.mark.parametrize("run", [verify_enabling, certify], ids=lambda f: f.__name__)
+def test_a_target_that_is_not_a_pair_of_ints_is_refused_before_any_search(
+    run, targets, monkeypatch
+):
+    g = two_colour_extremal(3, 3)
+
+    def no_search(self, colour):
+        raise AssertionError("a clique search ran")
+
+    monkeypatch.setattr(type(g), "adjacency", no_search)
+    with pytest.raises(ValueError) as exc:
+        run(g, targets)
+    assert type(exc.value) is ValueError
+    assert str(exc.value).endswith("is not a pair of ints")

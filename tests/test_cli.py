@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from enabling import certificates, cli, lp, search
+from enabling import certificates, cli, constructions, lp, search
 from enabling.cli import main
 from enabling.graphs import EdgeColouredGraph, monochromatic_complete
 
@@ -122,6 +122,31 @@ def test_certify_out_of_memory_is_exit_two_with_one_hint(tmp_path, capsys, monke
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--policy lex" in err
+
+
+def _exhausted(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["construct", "certify --policy lex"])
+def test_out_of_memory_outside_the_all_policy_gives_no_hint(
+    command, tmp_path, capsys, monkeypatch
+):
+    # Only certify's all policy holds every clique; lex holds fewer, and
+    # construct holds none, so neither is told to switch to lex.
+    path = tmp_path / "k5.json"
+    path.write_text(monochromatic_complete(5, r=1).to_json())
+    monkeypatch.setattr(constructions, "p4_blowup", _exhausted)
+    monkeypatch.setattr(certificates, "certify", _exhausted)
+    argv = {
+        "construct": ["construct", "--family", "p4", "--params", "4"],
+        "certify --policy lex": ["certify", "--graph", str(path), "--targets", "0:5",
+                                 "--policy", "lex"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_certify_check_mode_round_trips(tmp_path, capsys):

@@ -76,3 +76,19 @@ def test_modules_import_only_from_modules_earlier_in_the_order():
                 targets = [node.module] if node.module else [a.name for a in node.names]
                 late += [(name, t) for t in targets if t not in IMPORT_ORDER[:rank]]
     assert late == []
+
+
+def _setattr_calls(tree):
+    """Line numbers of every ``object.__setattr__`` in a syntax tree."""
+    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__" and isinstance(node.value, ast.Name)
+            and node.value.id == "object"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_a_frozen_object_is_written_only_in_its_init(module):
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    inits = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    assert _setattr_calls(tree) - set().union(*map(_setattr_calls, inits)) == set()

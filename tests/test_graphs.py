@@ -101,9 +101,10 @@ def reference_adjacency(n, colours, c):
 
 
 @given(
-    # Below 256 colours one byte matrix serves every colour; from 256 on
-    # each colour fills its own.  Draw both sides of that limit.
-    st.tuples(st.integers(1, 12), st.sampled_from((2, 255, 256, 300))).flatmap(
+    # Up to 256 colours one byte matrix serves every colour; from 257 on
+    # each colour is read from a two-colour graph.  Draw both sides of that
+    # limit, and one colour.
+    st.tuples(st.integers(1, 12), st.sampled_from((1, 2, 255, 256, 257, 300))).flatmap(
         lambda nr: st.tuples(
             st.just(nr[0]),
             st.just(nr[1]),
@@ -118,7 +119,7 @@ def reference_adjacency(n, colours, c):
 def test_adjacency_matches_a_pair_by_pair_reference(case):
     n, r, colours = case
     g = build(n, r, colours)
-    for c in set(colours) | {0}:
+    for c in range(r):
         assert g.adjacency(c) == reference_adjacency(n, colours, c)
 
 
@@ -149,13 +150,14 @@ def test_each_colour_at_256_colours_matches_colour_of():
         assert g.adjacency(c) == adjacency_from_colour_of(g, c)
 
 
-@pytest.mark.parametrize("r", [2, 255, 256, 300])
+@pytest.mark.parametrize("r", [2, 255, 256, 257, 300])
 def test_adjacency_fills_one_matrix_per_graph_in_any_order(r, monkeypatch):
     """Every colour, asked for in a shuffled order and twice over, matches
-    the reference.  Below 256 colours the first request fills the one
-    matrix all colours are read from, with byte 255 on its diagonal; from
-    256 on no byte is free for the diagonal, and each colour fills its own
-    matrix of flags once."""
+    the reference.  Up to 256 colours the store is bytes, and the first
+    request fills the one matrix all colours are read from, with byte 255 on
+    its diagonal: at 256 colours that byte is colour 255, the one read as
+    what the others leave.  From 257 on each colour is read from a two-colour
+    byte graph of its own, which fills its matrix once."""
     fills = []
     real = graphs._pair_matrix
     monkeypatch.setattr(
@@ -171,7 +173,7 @@ def test_adjacency_fills_one_matrix_per_graph_in_any_order(r, monkeypatch):
     rng.shuffle(order)
     for c in order:
         assert g.adjacency(c) == reference_adjacency(n, colours, c), c
-    assert len(fills) == (1 if r < 256 else r)
+    assert len(fills) == (1 if r <= 256 else r)
 
 
 def test_is_monochromatic_clique_against_bruteforce():
