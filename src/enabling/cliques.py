@@ -304,12 +304,14 @@ def choose_family(
     clique raises NotEnabling, naming the smallest one.
     """
     if policy == PER_VERTEX_LEX:
-        cliques = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)[0]
+        cliques, index = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
+        # The walk's index reads -1 at a vertex in no clique.
+        uncovered = [index.index(-1)] if -1 in index else []
     elif policy == ALL_CLIQUES:
         cliques = enumerate_cliques(g, colour, k)
+        uncovered = set(range(g.n)).difference(*cliques)
     else:
         raise ValueError(f"unknown family policy {policy!r}")
-    uncovered = set(range(g.n)).difference(*cliques)
     if uncovered:
         raise NotEnabling(
             f"vertex {min(uncovered)} lies in no size-{k} clique of colour {colour}"

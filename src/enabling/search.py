@@ -7,18 +7,27 @@ in a colour-0 k1-clique and a colour-1 k2-clique) at a given n, and ``min_n``
 locates the least n.
 
 Masks split into top, mid and low bit fields, and degrees are packed eight
-bits per vertex: one add-and-mask skips a top or mid block whose fixed fields
-already put some vertex outside the degree window [k1-1, n-k2].  In a
-surviving block, the 2**low leaves inside the window form one bitset, the
-AND over vertices v of a table entry picked by v's degree from the upper
-fields; the tables grow one low-field edge of v at a time.  The clique cover
-is bitsets too: each k-subset of the vertices holds at the leaves where its
+bits per vertex: one add-and-mask skips a top value whose edges already put
+some vertex outside the degree window [k1-1, n-k2], before its mid windows
+are read (they would find no live block either).  For a surviving top
+value the live mid blocks form one bitset, the AND over vertices v of a mid
+window picked by v's top-field degree: block h is live when v's degree from
+the top and mid fields lies in [k1-1 - l, n-k2], l being the most the low
+field can add.  Only live blocks are walked, in ascending order, and dead
+ones are counted in bulk.  In a live block, the 2**low leaves inside the
+window form one bitset, the AND over vertices v of a leaf window picked by
+v's degree from the upper fields; both kinds of window come from one
+builder that grows a field one edge of v at a time.  The clique cover is
+bitsets too: each k-subset of the vertices holds at the leaves where its
 low-field edges have the colour, once its upper-field edges do, so a
 vertex's covered leaves are one OR over its live subsets, ANDed into the
-block's bitset.  A target k <= 2 needs no subsets: for k = 2 the window
-gives each vertex an edge of that colour.  A mask counts as pruned exactly
-when it fails the window; on a witness, only masks up to it count, so the
-counters do not depend on the field widths.
+block's bitset.  A vertex whose cover empties the bitset moves to the front
+of its top value's table, so the next block tries it first; as an AND does
+not depend on its order, that changes only the work.  A target k <= 2 needs
+no subsets: for k = 2 the window gives each vertex an edge of that colour.
+A mask counts as pruned exactly when it fails the window; on a witness,
+only masks up to it count, so the counters do not depend on the field
+widths.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-from .bounds import LemmaViolation, two_colour_lower
+from .bounds import LemmaViolation, _integers, two_colour_lower
 from .cliques import verify_enabling
 from .graphs import canonical_json, from_simple_graph, pairs as graph_pairs
 
@@ -104,23 +113,39 @@ def _edge_leaves(low: int) -> list[int]:
 
 
 def _leaf_windows(
-    n: int, pairs: list[tuple[int, int]], edges: list[int], mind: int, maxd: int
+    n: int,
+    pairs: list[tuple[int, int]],
+    edges: list[int],
+    mind: int,
+    maxd: int,
+    rest: int = 0,
 ) -> list[tuple[int, list[int]]]:
-    """(8v, win) per vertex v: bit leaf of win[hv] is set when hv, v's degree
-    from the upper fields, plus v's degree in leaf lies in [mind, maxd]."""
+    """(8v, win) per vertex v, over the 2**len(edges) values (leaves) of one
+    field whose edges are pairs[:len(edges)]: bit leaf of win[hv] is set when
+    hv, v's degree from the fields above, plus v's degree in leaf lies in
+    [mind - rv, maxd], rv being lane v of rest, the most degree v can still
+    gain from the fields below (none below the low field)."""
     windows = []
     for v in range(n):
-        # The leaves giving v degree d, grown one low-field edge at a time.
+        # The leaves giving v degree d, grown one field edge at a time.
         by_degree = [(1 << (1 << len(edges))) - 1] + [0] * (n - 1)
         for has, pair in zip(edges, pairs):
             if v in pair:
                 below = [0, *by_degree]
                 by_degree = [d & ~has | e & has for d, e in zip(by_degree, below)]
+        least = mind - (rest >> 8 * v & 255)
         windows.append((8 * v, [
-            sum(by_degree[max(0, mind - hv):max(0, maxd - hv + 1)])
+            sum(by_degree[max(0, least - hv):max(0, maxd - hv + 1)])
             for hv in range(n)
         ]))
     return windows
+
+
+def _pick(windows: list[tuple[int, list[int]]], deg: int, bits: int) -> int:
+    """bits ANDed with each vertex's window entry for its lane of deg."""
+    for shift, win in windows:
+        bits &= win[deg >> shift & 255]
+    return bits
 
 
 def _cover_table(
@@ -171,15 +196,18 @@ def _restrict(
 
 def _covered(table: list[list[tuple[int, int]]], absent: int, good: int) -> int:
     """The leaves of good in which every vertex lies in a clique of the
-    table's colour, when absent masks the fixed edges lacking that colour."""
-    for subsets in table:
-        if not good:
-            break
+    table's colour, when absent masks the fixed edges lacking that colour.
+    A vertex whose cover empties good moves to the front of the table, so
+    the next call tries it first; an AND does not depend on its order."""
+    for i, subsets in enumerate(table):
         cover = 0
         for fixed, leaves in subsets:
             if not fixed & absent:
                 cover |= leaves
         good &= cover
+        if not good:
+            table.insert(0, table.pop(i))
+            break
     return good
 
 
@@ -225,8 +253,10 @@ def exists_enabling(
     Returns the first witness in ascending bitmask order, or found=False
     after covering the whole space; ``progress``, when given, is called with
     each multiple of 2**20 that the mask count passes, after every block of
-    up to 2**23 masks.
+    up to 2**23 masks.  An n, k1 or k2 that is not an int, a bool included,
+    raises ValueError before any table is built.
     """
+    _integers(n, k1, k2)
     if n < 1 or k1 < 1 or k2 < 1:
         raise ValueError(f"n and targets must be positive, got {(n, k1, k2)}")
     nbits = n * (n - 1) // 2
@@ -249,8 +279,12 @@ def exists_enabling(
     low = min(_LOW_CAP, nbits - top)
     mid = nbits - top - low
     mdeg = _span_degrees(pairs, low, mid)
+    lmax = _value_degrees(pairs, 0, (1 << low) - 1)
     edges = _edge_leaves(low)
     windows = _leaf_windows(n, pairs, edges, mind, maxd)
+    # Bit h of a mid window is block h: v's degree from the top and mid
+    # fields fits [mind - lmax_v, maxd], so some leaf may still fit.
+    mwindows = _leaf_windows(n, pairs[low:], _edge_leaves(mid), mind, maxd, lmax)
     cover0 = _cover_table(n, pairs, edges, k1, 0)
     cover1 = _cover_table(n, pairs, edges, k2, 1)
 
@@ -258,7 +292,6 @@ def exists_enabling(
     high = lanes << 7
     over = (127 - maxd) * lanes
     under = (128 - mind) * lanes
-    lmax = _value_degrees(pairs, 0, (1 << low) - 1)
     lmmax = lmax + mdeg[-1]
 
     nlow = 1 << low
@@ -270,37 +303,38 @@ def exists_enabling(
 
     for t in range(1 << top):
         tdeg = _value_degrees(pairs, low + mid, t)
-        if ((tdeg + over) & high) or ((tdeg + lmmax + under) & high) != high:
-            enumerated += nmid * nlow
-            pruned += nmid * nlow
-        else:
-            live0 = live1 = None
-            for h in range(nmid):
-                hdeg = tdeg + mdeg[h]
-                if ((hdeg + over) & high) or ((hdeg + lmax + under) & high) != high:
-                    enumerated += nlow
-                    pruned += nlow
-                else:
-                    ok = every
-                    for shift, win in windows:
-                        ok &= win[hdeg >> shift & 255]
-                    if live0 is None:
-                        # Cut once per top value, only if a block passes the
-                        # window; ~t and ~h mark the edges lacking colour 0.
-                        live0 = _restrict(cover0, ~t << mid, nmid - 1)
-                        live1 = _restrict(cover1, t << mid, nmid - 1)
-                    good = _covered(live1, h, _covered(live0, ~h, ok))
-                    if good:
-                        # The lowest leaf of good is the first enabling mask.
-                        leaf = (good & -good).bit_length() - 1
-                        enumerated += leaf + 1
-                        pruned += leaf + 1 - (ok & ((2 << leaf) - 1)).bit_count()
-                        mask = (t << (mid + low)) | (h << low) | leaf
-                        return _report(
-                            n, k1, k2, mask, pairs, enumerated, pruned, t0
-                        )
-                    enumerated += nlow
-                    pruned += nlow - ok.bit_count()
+        # A shortcut only: a top value this test refuses gets no live block
+        # from the mid windows either, as some vertex's entry there is 0.
+        blocks = 0
+        if not ((tdeg + over) & high or (tdeg + lmmax + under) & high != high):
+            blocks = _pick(mwindows, tdeg, (1 << nmid) - 1)
+        # One top value's tables at a time: drop the last ones before the
+        # cut.  ~t and ~h mark the edges lacking colour 0.
+        live0 = live1 = None
+        if blocks:
+            live0 = _restrict(cover0, ~t << mid, nmid - 1)
+            live1 = _restrict(cover1, t << mid, nmid - 1)
+        seen = 0  # the live blocks walked so far
+        bits = f"{blocks:b}"[::-1]  # bits[h] == "1" for each live block h
+        h = bits.find("1")
+        while h >= 0:
+            ok = _pick(windows, tdeg + mdeg[h], every)
+            good = ok and _covered(live0, ~h, ok)
+            good = good and _covered(live1, h, good)
+            if good:
+                # The lowest leaf of good is the first enabling mask; below
+                # block h lie seen live blocks and h - seen dead ones.
+                leaf = (good & -good).bit_length() - 1
+                enumerated += h * nlow + leaf + 1
+                pruned += (h - seen) * nlow
+                pruned += leaf + 1 - (ok & ((2 << leaf) - 1)).bit_count()
+                mask = (t << (mid + low)) | (h << low) | leaf
+                return _report(n, k1, k2, mask, pairs, enumerated, pruned, t0)
+            seen += 1
+            pruned += nlow - ok.bit_count()
+            h = bits.find("1", h + 1)
+        enumerated += nmid * nlow
+        pruned += (nmid - seen) * nlow
         if progress is not None and enumerated >= next_tick:
             while next_tick <= enumerated:
                 progress(next_tick)
@@ -323,7 +357,8 @@ def min_n(
 
     Scans upward from max(k1, k2); with trusted_bounds the scan starts at
     the proven lower bound instead of re-deriving it, which changes nothing
-    but the work done.
+    but the work done.  A k1, k2 or n_max that is not an int, a bool
+    included, raises ValueError before any scan.
     """
     report = _least_witness(k1, k2, n_max, trusted_bounds, progress)
     return None if report is None else report.n
@@ -337,6 +372,7 @@ def _least_witness(
     progress: Optional[Callable[[int], None]],
 ) -> Optional[SearchReport]:
     """The report of ``min_n``'s scan at its least n, None if none."""
+    _integers(k1, k2, n_max)
     if k1 < 1 or k2 < 1 or n_max < 1:
         raise ValueError(f"targets and n_max must be positive, got {(k1, k2, n_max)}")
     start = max(k1, k2)

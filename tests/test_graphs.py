@@ -123,6 +123,23 @@ def test_adjacency_matches_a_pair_by_pair_reference(case):
         assert g.adjacency(c) == reference_adjacency(n, colours, c)
 
 
+@pytest.mark.parametrize("r", [257, 1 << 16, (1 << 16) + 1, 1 << 64, (1 << 64) + 1, 1 << 70])
+def test_wide_colours_match_the_pair_by_pair_reference(r):
+    """Colours that need two or more bytes, or more than 64 bits, match the
+    pair-by-pair reference; colours sharing a low byte or a low word with
+    the one asked for (c ^ 1, c ^ 256, c ^ 2**64) land in other classes."""
+    rng = random.Random(r)
+    n = 14
+    picks = [0, 1, 255, 256, r - 1, r // 2, r // 2 ^ 1, r // 2 ^ 256]
+    if r > 1 << 64:
+        picks += [r - 1 ^ 1 << 64, 1 << 64 | 5, 5]
+    picks = sorted({c for c in picks if c < r})
+    colours = [rng.choice(picks) for _ in range(pair_count(n))]
+    g = build(n, r, colours)
+    for c in [*picks, r - 2]:
+        assert g.adjacency(c) == reference_adjacency(n, colours, c), c
+
+
 def adjacency_from_colour_of(g, c):
     """Neighbour bitmasks of colour c, one colour_of lookup a pair."""
     return tuple(

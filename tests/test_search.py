@@ -12,12 +12,16 @@ from enabling.bounds import two_colour_lower
 from enabling.cliques import verify_enabling
 from enabling.constructions import two_colour_extremal
 from enabling.graphs import from_simple_graph, pairs
+from enabling import search
 from enabling.search import (
+    _LOW_CAP,
+    _MID_CAP,
     SearchReport,
     _cover_table,
     _covered,
     _edge_leaves,
     _leaf_windows,
+    _pick,
     _restrict,
     _span_degrees,
     _value_degrees,
@@ -134,6 +138,101 @@ def test_block_cover_matches_brute_force(k):
                 if brute_force_cover(n, plist, upper << low | leaf, k, colour)
             )
             assert got == expected, (n, k, colour, low, mid, upper)
+
+
+def test_covered_answers_stay_exact_as_the_table_reorders():
+    """Many calls on one restricted table, as the scan makes for the blocks
+    of one top value: each call moves the vertex that emptied the leaves to
+    the front, and every answer still equals the leaf-by-leaf cover test."""
+    rng = random.Random(30)
+    reordered = 0
+    for _ in range(12):
+        n = rng.randint(6, 7)
+        k = rng.randint(3, 4)
+        colour = rng.randint(0, 1)
+        plist = list(pairs(n))
+        low = rng.randint(2, 5)
+        mid = rng.randint(2, 6)
+        top = len(plist) - low - mid
+        t = rng.randrange(1 << top)
+        table = _cover_table(n, plist, _edge_leaves(low), k, colour)
+        absent = ~t if colour == 0 else t
+        live = _restrict(table, absent << mid, (1 << mid) - 1)
+        entries = sorted(map(id, live))
+        for _ in range(40):
+            h = rng.randrange(1 << mid)
+            good = rng.getrandbits(1 << low)
+            before = [id(e) for e in live]
+            got = _covered(live, ~h if colour == 0 else h, good)
+            reordered += [id(e) for e in live] != before
+            upper = t << mid | h
+            expected = sum(
+                1 << leaf
+                for leaf in range(1 << low)
+                if good >> leaf & 1
+                and brute_force_cover(n, plist, upper << low | leaf, k, colour)
+            )
+            assert got == expected, (n, k, colour, low, mid, upper)
+        assert sorted(map(id, live)) == entries  # reordered, never changed
+    assert reordered > 0
+
+
+def test_mid_windows_keep_exactly_the_blocks_the_lane_test_keeps():
+    """For each top value, the AND of the mid windows is the set of mid
+    blocks that pass the per-block packed-lane test the scan used to run."""
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(4, 9)
+        k1 = rng.randint(1, n)
+        k2 = rng.randint(1, n + 1 - k1)
+        plist = list(pairs(n))
+        nbits = len(plist)
+        top = max(0, nbits - _LOW_CAP - _MID_CAP)
+        low = min(_LOW_CAP, nbits - top)
+        if rng.random() < 0.5:  # other splits the windows must serve too
+            low = rng.randint(1, min(_LOW_CAP, nbits))
+            top = nbits - low - rng.randint(0, min(_MID_CAP, nbits - low))
+        mid = nbits - top - low
+        mind, maxd = k1 - 1, n - k2
+        lmax = _value_degrees(plist, 0, (1 << low) - 1)
+        mdeg = _span_degrees(plist, low, mid)
+        mwindows = _leaf_windows(n, plist[low:], _edge_leaves(mid), mind, maxd, lmax)
+        lanes = sum(1 << (8 * v) for v in range(n))
+        high = lanes << 7
+        over = (127 - maxd) * lanes
+        under = (128 - mind) * lanes
+        for t in {0, (1 << top) - 1, *(rng.randrange(1 << top) for _ in range(6))}:
+            tdeg = _value_degrees(plist, low + mid, t)
+            expected = 0
+            for h in range(1 << mid):
+                hdeg = tdeg + mdeg[h]
+                if not ((hdeg + over) & high or (hdeg + lmax + under) & high != high):
+                    expected |= 1 << h
+            got = _pick(mwindows, tdeg, (1 << (1 << mid)) - 1)
+            assert got == expected, (n, k1, k2, low, mid, t)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exists_enabling(7, 3.0, 3),
+        lambda: exists_enabling(7.0, 3, 3),
+        lambda: exists_enabling(7, True, 3),
+        lambda: exists_enabling(7, 3, False),
+        lambda: min_n(3.0, 3, 7),
+        lambda: min_n(3, True, 7),
+        lambda: min_n(3, 3, 7.0),
+        lambda: min_n(3, 3, True, trusted_bounds=True),
+    ],
+)
+def test_search_refuses_non_int_arguments_before_any_work(call, monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("a table was built for a refused argument")
+
+    for name in ("_span_degrees", "_leaf_windows", "_cover_table"):
+        monkeypatch.setattr(search, name, no_tables)
+    with pytest.raises(ValueError, match=r"^(3\.0|7\.0|True|False) is not an int$"):
+        call()
 
 
 def reference_degree_bins(n, ldeg):
