@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Sequence
 
 from .constructions import _ceil_two_sqrt, _extremal_parts, _is_prime
@@ -97,11 +98,19 @@ def f_eval(m: int, k: int, x) -> Fraction:
 
 
 def f_max(r: int, k: int, x) -> Fraction:
-    """max over 0 <= m <= r of f_eval(m, k, x), which checks k and x."""
+    """max over 0 <= m <= r of f_eval(m, k, x), which checks k and x.
+
+    For x != 0 the quadratic is concave in m with its vertex at k/x + 1/2,
+    so the maximum is at m = 0 or at an integer next to the vertex."""
     _integers(r)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    return max(f_eval(m, k, x) for m in range(r + 1))
+    best = f_eval(0, k, x)
+    if x:
+        top = Fraction(2 * k + x, 2 * x)
+        for m in (floor(top), ceil(top)):
+            best = max(best, f_eval(min(max(m, 0), r), k, x))
+    return best
 
 
 def multicolour_lower(r: int, k: int) -> int:

@@ -74,13 +74,6 @@ def _parse_targets(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(targets)
 
 
-def _int_params(text: str, count: int, what: str) -> list[int]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != count:
-        raise ValueError(f"{what} takes {count} integer parameter(s), got {text!r}")
-    return [int(p) for p in parts]
-
-
 def _refuse_ignored(args: argparse.Namespace, mode: str, *flags: str) -> None:
     """A usage error naming each of flags, given to a mode that ignores it."""
     values = [getattr(args, f[2:].replace("-", "_")) for f in flags]
@@ -89,42 +82,39 @@ def _refuse_ignored(args: argparse.Namespace, mode: str, *flags: str) -> None:
         raise ValueError(f"{mode} does not take {', '.join(given)}")
 
 
+def _extremal(k1: int, k2: int) -> tuple[EdgeColouredGraph, dict, str]:
+    g = constructions.two_colour_extremal(k1, k2)
+    a, b, x, y = constructions._extremal_parts(k1, k2)
+    red = a + x
+    params = {"k1": k1, "k2": k2, "x": x, "y": y, "|R|": red, "|B|": b + y}
+    return g, params, (
+        f"vertices 0..{red - 1} form the red clique R, {red}..{g.n - 1} form the "
+        f"blue clique B; B vertex {red}+j is red exactly to R vertices ({a}*j+s) "
+        f"mod {red}, s = 0..{a - 1}")
+
+
+# Each construct family: its integer parameter count and a builder returning
+# the graph, its meta params and its label map.  --family lists the keys.
+_FAMILIES = {
+    "p4": (1, lambda n: (constructions.p4_blowup(n), {"n": n},
+                         "parts are the consecutive vertex ranges, longer parts first")),
+    "extremal": (2, _extremal),
+    "blocks": (2, lambda r, k: (constructions.multicolour_blocks(r, k), {"r": r, "k": k},
+                                f"vertex 2*({k} - 1)*i + q is element q of block i")),
+    "prime": (1, lambda p: (constructions.prime_slope(p), {"p": p},
+                            f"vertex x*{p} + y is the grid point (x, y)")),
+}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.family == "p4":
-        (n,) = _int_params(args.params, 1, "p4")
-        g = constructions.p4_blowup(n)
-        params = {"n": n}
-        label_map = "parts are the consecutive vertex ranges, longer parts first"
-    elif args.family == "extremal":
-        k1, k2 = _int_params(args.params, 2, "extremal")
-        g = constructions.two_colour_extremal(k1, k2)
-        a, b, x, y = constructions._extremal_parts(k1, k2)
-        red, blue = a + x, b + y
-        params = {"k1": k1, "k2": k2, "x": x, "y": y, "|R|": red, "|B|": blue}
-        label_map = (
-            f"vertices 0..{red - 1} form the red clique R, "
-            f"{red}..{g.n - 1} form the blue clique B; "
-            f"B vertex {red}+j is red exactly to R vertices ({a}*j+s) mod {red}, "
-            f"s = 0..{a - 1}"
-        )
-    elif args.family == "blocks":
-        r, k = _int_params(args.params, 2, "blocks")
-        g = constructions.multicolour_blocks(r, k)
-        params = {"r": r, "k": k}
-        label_map = f"vertex 2*({k} - 1)*i + q is element q of block i"
-    elif args.family == "prime":
-        (p,) = _int_params(args.params, 1, "prime")
-        g = constructions.prime_slope(p)
-        params = {"p": p}
-        label_map = f"vertex x*{p} + y is the grid point (x, y)"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {args.family!r}")
+    count, build = _FAMILIES[args.family]
+    parts = [p for p in args.params.split(",") if p.strip()]
+    if len(parts) != count:
+        raise ValueError(f"{args.family} takes {count} integer parameter(s), "
+                         f"got {args.params!r}")
+    g, params, label_map = build(*map(int, parts))
     doc = g.to_json_dict()
-    doc["meta"] = {
-        "construction": args.family,
-        "params": params,
-        "label_map": label_map,
-    }
+    doc["meta"] = {"construction": args.family, "params": params, "label_map": label_map}
     _emit(canonical_json(doc), args.output)
     return 0
 
@@ -169,12 +159,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _search_progress(count: int) -> None:
-    _log(f"searched {count} graphs")
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
-    progress = _search_progress if not args.quiet else None
+    progress = None if args.quiet else lambda count: _log(f"searched {count} graphs")
     if args.min_n:
         _refuse_ignored(args, "search --min-n", "--n", "--timings")
         if args.n_max is None:
@@ -235,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, help="write to file, not stdout")
 
     p = sub.add_parser("construct", help="emit a construction as graph JSON")
-    p.add_argument("--family", required=True, choices=["p4", "extremal", "blocks", "prime"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--params", required=True, help="comma-separated integers")
     add_output(p)
     p.set_defaults(func=_cmd_construct)

@@ -61,9 +61,9 @@ def _extremal_parts(k1: int, k2: int) -> tuple[int, int, int, int]:
         raise ValueError(f"need both clique targets >= 2, got ({k1}, {k2})")
     a, b = k1 - 1, k2 - 1
     t, _ = _ceil_two_sqrt(a, b)
-    x = 1
-    while x * (t - x) < a * b:
-        x += 1
+    # The least x >= (t - sqrt(d))/2, the smaller root of x^2 - t*x + a*b, where
+    # d = t^2 - 4ab; rounding sqrt(d) down to isqrt(d) leaves that ceiling as is.
+    x = (t - isqrt(t * t - 4 * a * b) + 1) // 2
     return a, b, x, t - x
 
 

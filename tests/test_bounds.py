@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import re
@@ -303,3 +304,56 @@ def test_ints_and_fractions_keep_their_values():
     assert [INTEGER_SLOTS[s](3) for s in INTEGER_SLOTS] == [
         6, 5, 6, 5, F(32, 3), F(32, 3)]
     assert f_eval(2, 3, 2) == f_max(2, 3, 2) == 8 and improved_inequality([0, 1]) == 0
+
+
+def _f_max_by_scan(r, k, x):
+    return max(f_eval(m, k, x) for m in range(r + 1))
+
+
+def test_f_max_equals_the_scan_over_every_m():
+    xs = [0, 1, 2, 3, 7, -1, -2, -5, F(1, 2), F(-1, 3), F(7, 5), F(-9, 4), F(1, 7)]
+    for r in range(31):
+        for k in range(-3, 13):
+            for x in xs:
+                best = f_max(r, k, x)
+                assert best == _f_max_by_scan(r, k, x), (r, k, x)
+                assert type(best) is F
+
+
+def test_f_max_checks_r_then_k_and_x_before_any_vertex():
+    with pytest.raises(ValueError, match=r"^need r >= 0, got -1$"):
+        f_max(-1, 0.5, 2)
+    with pytest.raises(ValueError, match=r"^0\.5 is not an int$"):
+        f_max(3, 0.5, 0)
+    with pytest.raises(ValueError, match=r"^2\.0 is not an int or a Fraction$"):
+        f_max(3, 2, 2.0)
+
+
+def test_negative_sizes_are_refused():
+    with pytest.raises(ValueError, match=r"^need m >= 0, got -1$"):
+        f_eval(-1, 3, 2)
+    with pytest.raises(ValueError, match=r"^need at least one vertex, got n=0$"):
+        max_enabling_level(0)
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["--multicolour", "1000000000", "3"],
+     {"exact": None, "lower": 2000000001, "upper": 4000000000,
+      "provenance": [["pigeonhole", 2000000001], ["quadratic_at_2", 8],
+                     ["block_construction", 4000000000]]}),
+    (["--two-colour", "1000000001", "1000000001"],
+     {"exact": 4000000000, "lower": 4000000000, "upper": 4000000000,
+      "provenance": [["sqrt_sum_squared", 4000000000],
+                     ["extremal_construction", 4000000000]]}),
+], ids=["multicolour", "two-colour"])
+def test_bound_answers_huge_parameters_in_closed_form(argv, doc):
+    # A scan over m or over the part sizes would take minutes here.
+    src = os.path.dirname(os.path.dirname(enabling.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run(
+        [sys.executable, "-m", "enabling.cli", "bound", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=5,
+    )
+    assert (res.returncode, res.stderr) == (0, "")
+    assert json.loads(res.stdout) == doc

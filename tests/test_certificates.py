@@ -1154,3 +1154,12 @@ def test_a_target_that_is_not_a_pair_of_ints_is_refused_before_any_search(
         run(g, targets)
     assert type(exc.value) is ValueError
     assert str(exc.value).endswith("is not a pair of ints")
+
+
+def test_an_empty_family_has_no_delta_and_no_mu():
+    g = monochromatic_complete(3)
+    empty = CliqueFamily(0, 2, ())
+    with pytest.raises(ValueError, match=r"^clique family is empty$"):
+        compute_delta(g, empty)
+    with pytest.raises(ValueError, match=r"^clique family is empty$"):
+        construct_mu(g, empty, F(1, 3), ())

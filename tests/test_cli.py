@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import re
@@ -502,3 +503,52 @@ def test_flags_the_mode_ignores_are_usage_errors(tmp_path, capsys, argv, flag):
     code, out, err = run(capsys, *(a.format(g=g, c=c) for a in argv))
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and err.rstrip().endswith(f"does not take {flag}")
+
+
+# sha256 of each construct's stdout: the family table must keep every byte.
+CONSTRUCT_DIGESTS = {
+    ("p4", "4"): "173366a371caae93d2974a3a7ac7165481f5e4c4d9a266d22cb01c99a077cdab",
+    ("p4", "5"): "ebab9fe2e35f080df92a3690d5e077029a885aca45e43c5f7d5d63954ce8ac10",
+    ("p4", "8"): "ba8f274b59ecf025ca194f7edbddeccca5458c0943b422f869d3822c600e87eb",
+    ("extremal", "2,3"): "b74e93f6e95889e9cfff2aeeecc6686ff65a2a29829faf9eb26a17650c35a7ad",
+    ("extremal", "3,9"): "5c0cc4882e0d30724664a337a6e4e94806b58fde8b55d88c8cfddf8388a17449",
+    ("extremal", "5,5"): "0f1321f19aa595aa80859241d5762c58090ac4aef87950ba3a0ad48e00042848",
+    ("blocks", "3,2"): "fb2745374f418687a3eeea1d8e3a86618a1388d6a84ba75e03b92681ffc44906",
+    ("blocks", "2,4"): "31b9939bfb7b4390e8e3b19bd18daf187f77e4e2d5d907868de048856ca6c85e",
+    ("prime", "2"): "7167d8603f2e38dfd6fca8cdc6b2eb468d3d2c09cfd6f572aaab1578fc13a315",
+    ("prime", "5"): "9d94942f477b477cb4584b4e52c1376dff0f69bb41bb72505743a961c04d7b4c",
+}
+
+
+@pytest.mark.parametrize("family,params", CONSTRUCT_DIGESTS)
+def test_construct_output_is_pinned(capsys, family, params):
+    code, out, err = run(capsys, "construct", "--family", family, "--params", params)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[family, params]
+
+
+def test_construct_families_are_offered_in_table_order(capsys):
+    code, out, err = run(capsys, "construct", "--family", "bogus", "--params", "1")
+    assert (code, out) == (2, "")
+    assert "(choose from 'p4', 'extremal', 'blocks', 'prime')" in err
+
+
+@pytest.mark.parametrize("family,params,count", [
+    ("p4", "4,5", 1), ("extremal", "3", 2), ("blocks", "3,,", 2), ("prime", "", 1),
+])
+def test_construct_names_the_parameter_count_it_wants(capsys, family, params, count):
+    code, out, err = run(capsys, "construct", "--family", family, "--params", params)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {family} takes {count} integer parameter(s), "
+                   f"got {params!r}\n")
+
+
+def test_search_progress_goes_to_stderr_unless_quiet(capsys):
+    argv = ["search", "--k1", "3", "--k2", "3", "--n", "7"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "searched 1048576 graphs\nsearched 2097152 graphs\n"
+    assert run(capsys, *argv, "--quiet") == (1, out, "")
+    code, _, err = run(capsys, "search", "--k1", "3", "--k2", "3", "--min-n",
+                       "--n-max", "7")
+    assert (code, err) == (1, "searched 1048576 graphs\nsearched 2097152 graphs\n")

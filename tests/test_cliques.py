@@ -428,3 +428,18 @@ def test_a_sibling_without_wanted_candidates_still_serves_a_chosen_vertex():
     assert find_clique_containing(g, 0, 0, 4) == (0, 3, 4, 5)
     for wanted in (1, (1 << 6) - 1):
         assert_walk_matches_reference(g, 0, 4, wanted)
+
+
+def test_enumerate_cliques_refuses_size_zero():
+    with pytest.raises(ValueError, match=r"^clique size must be positive, got 0$"):
+        enumerate_cliques(monochromatic_complete(3), 0, 0)
+
+
+@pytest.mark.parametrize("targets,text", [
+    (((0, 3),), '{"first_failure":null,"ok":true,'
+                '"witnesses":{"0,0":[0,1,2],"1,0":[0,1,2],"2,0":[0,1,2]}}'),
+    (((0, 2), (1, 2)), '{"first_failure":[0,1],"ok":false,"witnesses":{"0,0":[0,1],'
+                       '"0,1":null,"1,0":[0,1],"1,1":null,"2,0":[0,2],"2,1":null}}'),
+])
+def test_enabling_report_json_text(targets, text):
+    assert verify_enabling(monochromatic_complete(3), targets).to_json() == text

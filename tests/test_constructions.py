@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import isqrt
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from enabling.bounds import two_colour_lower
 from enabling.cliques import verify_enabling
 from enabling.constructions import (
+    _ceil_two_sqrt,
     _extremal_parts,
     integer_extremal_pairs,
     multicolour_blocks,
@@ -259,3 +261,31 @@ def test_prime_slope_rejects_composites():
         prime_slope(6)
     with pytest.raises(ValueError):
         prime_slope(1)
+
+
+def _extremal_parts_by_scan(k1, k2):
+    a, b = k1 - 1, k2 - 1
+    t, _ = _ceil_two_sqrt(a, b)
+    x = 1
+    while x * (t - x) < a * b:
+        x += 1
+    return a, b, x, t - x
+
+
+def test_extremal_parts_equal_the_scan():
+    grid = [(k1, k2) for k1 in range(2, 81) for k2 in range(2, 81)]
+    large = [(2, 10**6), (10**6, 2), (12345, 678), (10**5, 10**5),
+             (10**5 + 1, 10**5 + 2), (99991, 3), (4097, 65537)]
+    for k1, k2 in grid + large:
+        assert _extremal_parts(k1, k2) == _extremal_parts_by_scan(k1, k2), (k1, k2)
+
+
+def test_extremal_parts_take_the_least_x_for_huge_targets():
+    rng = random.Random(31)
+    for _ in range(2000):
+        k1, k2 = (rng.randrange(2, 10 ** rng.randrange(1, 40)) for _ in range(2))
+        a, b, x, y = _extremal_parts(k1, k2)
+        t, _ = _ceil_two_sqrt(a, b)
+        assert x + y == t and x >= 1
+        assert x * y >= a * b
+        assert x == 1 or (x - 1) * (y + 1) < a * b

@@ -258,3 +258,33 @@ def test_random_graphs_round_trip_and_validate(n, r, data):
     # every pair is assigned exactly the colour from the input list
     for e, (u, v) in enumerate(pairs(n)):
         assert g.colour_of(u, v) == colours[e]
+
+
+def test_permute_colours_relabels_a_tuple_store():
+    rng = random.Random(257)
+    r, n = 300, 7
+    cols = [rng.randrange(r) for _ in range(pair_count(n))]
+    g = EdgeColouredGraph(n, r, cols)
+    perm = list(range(r))
+    rng.shuffle(perm)
+    h = g.permute_colours(perm)
+    assert type(h._store) is tuple
+    assert h.colours == tuple(perm[c] for c in cols)
+    inverse = sorted(range(r), key=perm.__getitem__)
+    assert h.permute_colours(inverse) == g
+    with pytest.raises(ValueError, match="is not a permutation of 0..299"):
+        g.permute_colours(perm[:-1])
+
+
+def test_a_graph_needs_a_vertex():
+    with pytest.raises(ValueError, match=r"^need at least one vertex, got n=0$"):
+        EdgeColouredGraph(0, 2, ())
+
+
+@pytest.mark.parametrize("colour", [-1, 2])
+def test_an_out_of_range_colour_is_refused(colour):
+    g = monochromatic_complete(3)
+    with pytest.raises(ValueError, match=rf"^colour {colour} outside range 0..1$"):
+        g.is_monochromatic_clique([0, 1], colour)
+    with pytest.raises(ValueError, match=rf"^colour {colour} outside range 0..1$"):
+        monochromatic_complete(3, r=2, colour=colour)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -418,3 +419,13 @@ def test_search_guards_survive_optimisation_flag():
         "rejected: the scan's witness on n=4 is not (2, 2)-enabling",
         "rejected: the scan covered 0 of 8 masks",
     ]
+
+
+@pytest.mark.parametrize("n,k1,k2", [(4, 2, 2), (4, 2, 3)])
+def test_search_report_json_is_its_dict_sorted_and_unspaced(n, k1, k2):
+    report = exists_enabling(n, k1, k2)
+    for timings in (False, True):
+        text = report.to_json(timings)
+        assert json.loads(text) == report.to_json_dict(timings)
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert ("elapsed_seconds" in text) is timings
