@@ -10,9 +10,11 @@ the witness report and the family are both read from it.  The witness walk
 skips what cannot give a new witness: the sibling of a smallest candidate
 adjacent to all the others (a swap puts each of its cliques' vertices in a
 smaller clique under that candidate), children with too few candidates or
-no uncovered vertex, and the last level, whose cliques it reads off in
-closed form.  Both walks keep their own stack, so k is not bounded by
-Python's recursion limit.
+no uncovered vertex, and, below covered vertices only, every candidate
+adjacent to no uncovered candidate (its cliques hold no uncovered vertex).
+It reads the last level's cliques off in closed form, and tests a leaf
+with the same candidates as the last one only once.  Both walks keep
+their own stack, so k is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from operator import and_, ge
+from operator import and_, ge, or_
 from typing import Mapping, Sequence
 
+from .bounds import _integers
 from .graphs import EdgeColouredGraph, canonical_json
 
 __all__ = [
@@ -70,7 +73,7 @@ def _lex_witnesses(
     ``left``, the wanted vertices still without a witness.  As ``left`` only
     shrinks, each clique reached is the first one containing each vertex of
     ``left`` in it: they take it as their witness and leave.  So every clique
-    recorded is new, and the list comes out sorted.  Four rules cut steps:
+    recorded is new, and the list comes out sorted.  Six rules cut steps:
 
     - If ``need >= 2`` and the smallest candidate w is adjacent to every
       other candidate, the walk takes w and drops the sibling branch.  Take
@@ -78,10 +81,17 @@ def _lex_witnesses(
       member other than v gives a lexicographically smaller clique through
       v under w, so v has left before the sibling is reached.
     - A child that is not live is skipped for the next candidate at the
-      same level, with nothing pushed or popped.
+      same level, with nothing pushed or popped: it holds no new witness.
+    - At such a skip, if no chosen vertex is in ``left``, the candidates
+      outside the closed neighbourhoods of the candidates in ``left`` are
+      dropped at once: a clique through one of them holds no vertex of
+      ``left``, now or later, as ``left`` only shrinks.  Siblings already
+      on the stack keep their own candidates.
     - With ``need == 1`` every candidate completes a clique: the first
       one's serves the chosen vertices and it, each later one only itself.
     - A node with exactly ``need`` candidates is a leaf, one clique test.
+    - A leaf with the same candidates as the last one reuses its members
+      and its test's outcome, as both depend on the candidates alone.
 
     The stack holds the live siblings still to visit, each with its depth,
     mask and union, so k is not bounded by Python's recursion limit.
@@ -95,6 +105,7 @@ def _lex_witnesses(
     if wanted != (1 << n) - 1:  # with every vertex wanted, cand holds them all
         for v in _members(wanted):
             cand |= adj[v]
+    leaf, rest = -1, None  # the last leaf's candidates, and its members if a clique
     chosen: list[int] = []
     stack: list[tuple[int, int, int, int]] = []  # (depth, cand, mask | cand, mask)
     size = cand.bit_count()
@@ -110,7 +121,13 @@ def _lex_witnesses(
                 if sub != cand:  # w misses a candidate: the sibling may matter
                     count = sub.bit_count()
                     if count < need - 1 or not (mask | low | sub) & left:
-                        live = (mask | cand) & left  # w's child is dead
+                        # w's child is dead.  Below covered vertices only, drop
+                        # each candidate that no uncovered candidate reaches.
+                        if not mask & left:
+                            reach = map(closed.__getitem__, _members(cand & left))
+                            cand &= reduce(or_, reach, 0)
+                            size = cand.bit_count()
+                        live = size >= need and (mask | cand) & left
                         continue
                     if (mask | cand) & left:
                         stack.append((len(chosen), cand, mask | cand, mask))
@@ -132,8 +149,11 @@ def _lex_witnesses(
                     cliques.append((*chosen, v))
                 left &= ~cand
             else:
-                rest = _members(cand)
-                if reduce(and_, map(closed.__getitem__, rest), cand) == cand:
+                if cand != leaf:
+                    leaf, rest = cand, _members(cand)
+                    if reduce(and_, map(closed.__getitem__, rest), cand) != cand:
+                        rest = None
+                if rest is not None:
                     hits = (mask | cand) & left
                     left ^= hits
                     for v in _members(hits):
@@ -160,6 +180,7 @@ def find_clique_containing(
     Vertex sets are compared as sorted sequences; members smaller than v are
     allowed and preferred.
     """
+    _integers(colour, v, k)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
     cliques, _ = _lex_witnesses(g.adjacency(colour), g.n, k, 1 << v)
@@ -170,6 +191,7 @@ def enumerate_cliques(
     g: EdgeColouredGraph, colour: int, k: int
 ) -> list[tuple[int, ...]]:
     """All size-k cliques of one colour, in lexicographic order."""
+    _integers(colour, k)
     if k < 1:
         raise ValueError(f"clique size must be positive, got {k}")
     adj = g.adjacency(colour)
@@ -303,6 +325,7 @@ def choose_family(
     come in lexicographic order.  Under either policy a vertex in no such
     clique raises NotEnabling, naming the smallest one.
     """
+    _integers(colour, k)
     if policy == PER_VERTEX_LEX:
         cliques, index = _lex_witnesses(g.adjacency(colour), g.n, k, (1 << g.n) - 1)
         # The walk's index reads -1 at a vertex in no clique.

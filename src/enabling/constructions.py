@@ -139,9 +139,34 @@ def multicolour_blocks(r: int, k: int) -> EdgeColouredGraph:
     return EdgeColouredGraph(r * m, r, tuple(cols))
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime: deterministic Miller-Rabin below ``_MR_LIMIT``,
+    trial division up to sqrt(p) from there on."""
     if p < 2:
         return False
+    if p < _MR_LIMIT:
+        if p % 2 == 0 or p <= 41:
+            return p in _MR_BASES
+        d = p - 1
+        s = (d & -d).bit_length() - 1  # p - 1 = d * 2**s with d odd
+        d >>= s
+        for a in _MR_BASES:
+            x = pow(a, d, p)
+            if x == 1 or x == p - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % p
+                if x == p - 1:
+                    break
+            else:
+                return False
+        return True
     if p % 2 == 0:
         return p == 2
     f = 3

@@ -345,9 +345,27 @@ def test_negative_sizes_are_refused():
      {"exact": 4000000000, "lower": 4000000000, "upper": 4000000000,
       "provenance": [["sqrt_sum_squared", 4000000000],
                      ["extremal_construction", 4000000000]]}),
-], ids=["multicolour", "two-colour"])
+    # On the r = k + 1 line the answer rests on k being prime.
+    (["--multicolour", "9999999999999938", "9999999999999937"],
+     {"exact": 99999999999998740000000000003969,
+      "lower": 99999999999998740000000000003969,
+      "provenance": [["pigeonhole", 99999999999998740000000000003969],
+                     ["quadratic_at_2", 49999999999999380000000000001922],
+                     ["block_construction", 199999999999997480000000000007936],
+                     ["prime_slope", 99999999999998740000000000003969]],
+      "upper": 99999999999998740000000000003969}),
+    (["--multicolour", "99999999999999998", "99999999999999997"],
+     {"exact": 9999999999999999400000000000000009,
+      "lower": 9999999999999999400000000000000009,
+      "provenance": [["pigeonhole", 9999999999999999400000000000000009],
+                     ["quadratic_at_2", 4999999999999999800000000000000002],
+                     ["block_construction", 19999999999999998800000000000000016],
+                     ["prime_slope", 9999999999999999400000000000000009]],
+      "upper": 9999999999999999400000000000000009}),
+], ids=["multicolour", "two-colour", "prime-line-16-digits", "prime-line-17-digits"])
 def test_bound_answers_huge_parameters_in_closed_form(argv, doc):
-    # A scan over m or over the part sizes would take minutes here.
+    # A scan over m or over the part sizes would take minutes here, and a
+    # primality test by trial division 5 to 20 s on the prime line.
     src = os.path.dirname(os.path.dirname(enabling.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     res = subprocess.run(

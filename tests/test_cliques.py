@@ -88,6 +88,16 @@ def test_find_clique_rejects_bad_arguments():
         find_clique_containing(g, 2, 0, 2)
 
 
+@pytest.mark.parametrize("colour,v,k,bad", [
+    (0, True, 3, "True"), (0, 1, 3.0, "3.0"), (True, 1, 3, "True"), (0, 1.0, 3, "1.0"),
+])
+def test_find_clique_refuses_what_is_not_an_int(colour, v, k, bad):
+    # A bool read as 0 or 1 and a float size used to return a clique, and a
+    # float vertex raised TypeError.
+    with pytest.raises(ValueError, match=rf"^{bad} is not an int$"):
+        find_clique_containing(p4_blowup(8), colour, v, k)
+
+
 def test_enumerate_cliques_on_path_graph():
     g = p4_graph()
     assert enumerate_cliques(g, 0, 2) == [(0, 1), (1, 2), (2, 3)]
@@ -212,6 +222,13 @@ def test_clique_family_rejects_malformed_cliques(cliques, message):
     with pytest.raises(ValueError) as err:
         CliqueFamily(0, 2, cliques)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("policy", [PER_VERTEX_LEX, ALL_CLIQUES])
+@pytest.mark.parametrize("colour,k,bad", [(0, True, "True"), (0, 3.0, "3.0"), (True, 3, "True")])
+def test_choose_family_refuses_what_is_not_an_int(colour, k, bad, policy):
+    with pytest.raises(ValueError, match=rf"^{bad} is not an int$"):
+        choose_family(p4_blowup(8), colour, k, policy)
 
 
 def test_choose_family_fails_if_a_vertex_is_uncovered():
@@ -419,6 +436,40 @@ def test_walk_matches_the_reference_on_relabelled_extremal_graphs():
                 assert_walk_matches_reference(g, colour, k, wanted)
 
 
+def test_walk_matches_the_reference_on_identity_labelled_extremal_graphs():
+    # As built, each colour class sits in long runs of consecutive vertices,
+    # where the walk drops most candidates in bulk and meets repeated leaves.
+    for k1, k2 in integer_extremal_pairs(120):
+        g = two_colour_extremal(k1, k2)
+        for colour, k in ((0, k1), (1, k2)):
+            for wanted in everyone_and_the_last(g.n):
+                assert_walk_matches_reference(g, colour, k, wanted)
+
+
+def test_consecutive_leaves_with_the_same_candidates_that_are_no_clique():
+    # The square 0-2-1-4 and the triangle 3-4-5: the leaves under 0 and
+    # under 1 both have candidates {2, 4}, not an edge, and the next leaf,
+    # {3, 4, 5} with nothing chosen, is a clique.
+    g = from_simple_graph(6, [(0, 2), (0, 4), (1, 2), (1, 4), (3, 4), (3, 5), (4, 5)])
+    assert find_clique_containing(g, 0, 3, 3) == (3, 4, 5)
+    assert find_clique_containing(g, 0, 0, 3) is None
+    for wanted in everyone_and_the_last(6):
+        assert_walk_matches_reference(g, 0, 3, wanted)
+
+
+def test_candidates_dropped_in_bulk_stay_in_the_siblings_on_the_stack():
+    # Under 0, after the witness (0, 2, 5), the child of 3 is dead and no
+    # chosen vertex is uncovered, so 5 goes: the one uncovered candidate
+    # left, 4, is not adjacent to it.  The branch under 1, pushed before,
+    # keeps 5, which gives 1 its witness (1, 2, 5).
+    g = from_simple_graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 5)])
+    cliques, index = _lex_witnesses(g.adjacency(0), 6, 3, (1 << 6) - 1)
+    assert cliques == [(0, 2, 5), (1, 2, 5)]
+    assert index == [0, 1, 0, -1, -1, 0]
+    for wanted in everyone_and_the_last(6):
+        assert_walk_matches_reference(g, 0, 3, wanted)
+
+
 def test_a_sibling_without_wanted_candidates_still_serves_a_chosen_vertex():
     # With 0 chosen, the branch under 1 holds no clique ({2, 3} is not an
     # edge), so 0's witness is in the sibling branch, whose candidates
@@ -433,6 +484,12 @@ def test_a_sibling_without_wanted_candidates_still_serves_a_chosen_vertex():
 def test_enumerate_cliques_refuses_size_zero():
     with pytest.raises(ValueError, match=r"^clique size must be positive, got 0$"):
         enumerate_cliques(monochromatic_complete(3), 0, 0)
+
+
+@pytest.mark.parametrize("colour,k,bad", [(0, True, "True"), (0, 3.0, "3.0"), (True, 3, "True")])
+def test_enumerate_cliques_refuses_what_is_not_an_int(colour, k, bad):
+    with pytest.raises(ValueError, match=rf"^{bad} is not an int$"):
+        enumerate_cliques(p4_blowup(8), colour, k)
 
 
 @pytest.mark.parametrize("targets,text", [

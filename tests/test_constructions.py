@@ -9,6 +9,7 @@ from enabling.cliques import verify_enabling
 from enabling.constructions import (
     _ceil_two_sqrt,
     _extremal_parts,
+    _is_prime,
     integer_extremal_pairs,
     multicolour_blocks,
     p4_blowup,
@@ -261,6 +262,25 @@ def test_prime_slope_rejects_composites():
         prime_slope(6)
     with pytest.raises(ValueError):
         prime_slope(1)
+
+
+def _is_prime_by_trial_division(p):
+    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
+
+
+def test_is_prime_equals_trial_division_below_two_hundred_thousand():
+    assert ([p for p in range(-3, 200_000) if _is_prime(p)]
+            == [p for p in range(-3, 200_000) if _is_prime_by_trial_division(p)])
+
+
+@pytest.mark.parametrize("p", [
+    2047,  # strong pseudoprime to base 2
+    3215031751,  # to bases 2, 3, 5 and 7
+    3825123056546413051,  # to bases 2 to 23
+    318665857834031151167461,  # to bases 2 to 37
+])
+def test_is_prime_refuses_strong_pseudoprimes(p):
+    assert not _is_prime(p)
 
 
 def _extremal_parts_by_scan(k1, k2):
