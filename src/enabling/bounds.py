@@ -14,7 +14,7 @@ from math import ceil, floor
 from typing import Sequence
 
 from .constructions import _ceil_two_sqrt, _extremal_parts, _is_prime
-from .lp import _rationals
+from .lp import _integers, _rationals
 
 __all__ = [
     "BoundReport",
@@ -35,13 +35,6 @@ class LemmaViolation(Exception):
     """A mathematically guaranteed inequality failed on concrete data."""
 
 
-def _integers(*xs) -> None:
-    """Raise ValueError on any of xs whose type is not int; bools included."""
-    for x in xs:
-        if type(x) is not int:
-            raise ValueError(f"{x!r} is not an int")
-
-
 def two_colour_lower(k1: int, k2: int) -> int:
     """Least integer n compatible with n >= (sqrt(k1-1) + sqrt(k2-1))^2 and
     with containing a clique of each target size.
@@ -50,6 +43,7 @@ def two_colour_lower(k1: int, k2: int) -> int:
     for all inputs.  The clique-size floor max(k1, k2) only binds when
     one target is 1.
     """
+    _integers(k1, k2)
     if k1 < 1 or k2 < 1:
         raise ValueError(f"clique targets must be positive, got ({k1}, {k2})")
     t, _ = _ceil_two_sqrt(k1 - 1, k2 - 1)
@@ -67,6 +61,7 @@ def _sqrt_sum_squared(k1: int, k2: int) -> int | str:
 def max_enabling_level(n: int) -> int:
     """Largest k such that some two-colouring of n vertices puts every vertex
     in a size-k clique of both colours; equals floor(n/4) + 1."""
+    _integers(n)
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     return n // 4 + 1
@@ -169,8 +164,12 @@ def multicolour_report(r: int, k: int) -> BoundReport:
     largest 2mk - 2m(m-1) over 0 <= m <= r; the upper candidates are the
     block construction on 2r(k-1) vertices and, when k is prime and
     r == k+1, the prime-slope one on k^2.  The bounds are the largest lower
-    and the smallest upper candidate.
+    and the smallest upper candidate.  On the line r == k+1 the upper bound
+    rests on k being prime, so a k >= ``_MR_LIMIT`` that passes every
+    Miller-Rabin base of ``_is_prime``, and so is not proven prime, raises
+    ValueError.
     """
+    _integers(r, k)
     if r < 2 or k < 2:
         raise ValueError(f"need r >= 2 and k >= 2, got ({r}, {k})")
     quadratic = f_max(r, k, 2)

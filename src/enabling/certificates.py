@@ -43,9 +43,7 @@ from math import ceil
 from operator import and_
 from typing import Iterable, Sequence
 
-from .bounds import (
-    LemmaViolation, _integers, _sqrt_sum_squared, f_max, two_colour_lower
-)
+from .bounds import LemmaViolation, _sqrt_sum_squared, f_max, two_colour_lower
 from .cliques import (
     ALL_CLIQUES,
     PER_VERTEX_LEX,
@@ -55,7 +53,9 @@ from .cliques import (
     choose_family,
 )
 from .graphs import EdgeColouredGraph, canonical_json
-from .lp import AuditFailure, _common_denominator, _rationals, solve_lp_exact
+from .lp import (
+    AuditFailure, _common_denominator, _integers, _rationals, solve_lp_exact
+)
 
 __all__ = [
     "ColourCertificate",

@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import and_, ge, or_
 from typing import Mapping, Sequence
 
-from .bounds import _integers
+from .lp import _integers
 from .graphs import EdgeColouredGraph, canonical_json
 
 __all__ = [

@@ -18,6 +18,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .graphs import EdgeColouredGraph, pair_count, pairs
+from .lp import _integers
 
 __all__ = [
     "integer_extremal_pairs",
@@ -37,6 +38,7 @@ def p4_blowup(n: int) -> EdgeColouredGraph:
     fills everything else.  Every vertex then lies in a size floor(n/4)+1
     clique of each colour.
     """
+    _integers(n)
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     q, rem = divmod(n, 4)
@@ -89,6 +91,7 @@ def two_colour_extremal(k1: int, k2: int) -> EdgeColouredGraph:
     The construction is this package's own; that n = two_colour_lower(k1,
     k2) is optimal for every pair is the source paper's claim.
     """
+    _integers(k1, k2)
     a, b, x, y = _extremal_parts(k1, k2)
     red, blue = a + x, b + y
     # Assembled from byte rows rather than pair by pair over ``pairs``, for
@@ -112,6 +115,7 @@ def integer_extremal_pairs(n_max: int) -> list[tuple[int, int]]:
 
     (k1-1)(k2-1) is a square exactly when k1-1 = g*u^2 and k2-1 = g*v^2, and
     the count is then g*(u+v)^2; a g with a square factor repeats a pair."""
+    _integers(n_max)
     found = {(g * s * s, g * u * u + 1, g * (s - u) ** 2 + 1)
              for g in range(1, n_max // 4 + 1)
              for s in range(2, isqrt(n_max // g) + 1)
@@ -130,6 +134,7 @@ def multicolour_blocks(r: int, k: int) -> EdgeColouredGraph:
     With m = 2(k-1), the pair u < v so has colour u // m when
     (v - u) % m <= k - 2 and colour v // m otherwise.
     """
+    _integers(r, k)
     if r < 2:
         raise ValueError(f"need at least two colours, got r={r}")
     if k < 2:
@@ -139,41 +144,38 @@ def multicolour_blocks(r: int, k: int) -> EdgeColouredGraph:
     return EdgeColouredGraph(r * m, r, tuple(cols))
 
 
-# Miller-Rabin with the prime bases 2..41 is exact below this bound
-# (Sorenson and Webster, 2015).
+# Miller-Rabin with the prime bases 2..41 is exact below this bound, itself
+# a strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
-    """Whether p is prime: deterministic Miller-Rabin below ``_MR_LIMIT``,
-    trial division up to sqrt(p) from there on."""
-    if p < 2:
-        return False
-    if p < _MR_LIMIT:
-        if p % 2 == 0 or p <= 41:
-            return p in _MR_BASES
-        d = p - 1
-        s = (d & -d).bit_length() - 1  # p - 1 = d * 2**s with d odd
-        d >>= s
-        for a in _MR_BASES:
-            x = pow(a, d, p)
-            if x == 1 or x == p - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % p
-                if x == p - 1:
-                    break
-            else:
-                return False
-        return True
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    """Whether p is prime, by Miller-Rabin with ``_MR_BASES``.
+
+    A base that witnesses p composite proves it at any size; a p that passes
+    every base is prime below ``_MR_LIMIT`` and unproven from there on, which
+    raises ValueError."""
+    if p % 2 == 0 or p <= 41:
+        return p in _MR_BASES
+    d = p - 1
+    s = (d & -d).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
+    if p >= _MR_LIMIT:
+        raise ValueError(f"cannot prove {p} prime: it passes Miller-Rabin to "
+                         f"every prime base up to 41, which is proof only "
+                         f"below {_MR_LIMIT}")
     return True
 
 
@@ -186,6 +188,7 @@ def prime_slope(p: int) -> EdgeColouredGraph:
     size p, so every vertex lies in a size-p clique of every colour.
     Modulo p, y - w is u - v, which is 0 exactly when y == w.
     """
+    _integers(p)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     cols = [

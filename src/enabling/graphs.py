@@ -22,6 +22,8 @@ from itertools import combinations
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
+from .lp import _integers
+
 __all__ = [
     "EdgeColouredGraph",
     "build",
@@ -233,6 +235,7 @@ def from_simple_graph(n: int, edges: Iterable[tuple[int, int]]) -> EdgeColouredG
 
 def monochromatic_complete(n: int, r: int = 2, colour: int = 0) -> EdgeColouredGraph:
     """Complete graph with every edge in one colour; handy for small tests."""
+    _integers(n, r, colour)
     if not 0 <= colour < r:
         raise ValueError(f"colour {colour} outside range 0..{r - 1}")
     one = bytes([colour]) if colour < 256 else (colour,)

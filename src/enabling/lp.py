@@ -80,6 +80,13 @@ class _Problem(NamedTuple):
     den: list[int]
 
 
+def _integers(*xs) -> None:
+    """Raise ValueError on any of xs whose type is not int; bools included."""
+    for x in xs:
+        if type(x) is not int:
+            raise ValueError(f"{x!r} is not an int")
+
+
 def _rationals(xs: Sequence) -> list[int | Fraction]:
     """xs as a list; an entry not an int or a Fraction raises ValueError."""
     out = list(xs)

@@ -7,13 +7,12 @@ in a colour-0 k1-clique and a colour-1 k2-clique) at a given n, and ``min_n``
 locates the least n.
 
 Masks split into top, mid and low bit fields, and degrees are packed eight
-bits per vertex: one add-and-mask skips a top value whose edges already put
-some vertex outside the degree window [k1-1, n-k2], before its mid windows
-are read (they would find no live block either).  For a surviving top
-value the live mid blocks form one bitset, the AND over vertices v of a mid
-window picked by v's top-field degree: block h is live when v's degree from
-the top and mid fields lies in [k1-1 - l, n-k2], l being the most the low
-field can add.  Only live blocks are walked, in ascending order, and dead
+bits per vertex.  For each top value the live mid blocks form one bitset,
+the AND over vertices v of a mid window picked by v's top-field degree:
+block h is live when v's degree from the top and mid fields lies in
+[k1-1 - l, n-k2], l being the most the low field can add, so a top value
+whose edges already put some vertex outside the degree window [k1-1, n-k2]
+gets no live block.  Only live blocks are walked, in ascending order, and dead
 ones are counted in bulk.  In a live block, the 2**low leaves inside the
 window form one bitset, the AND over vertices v of a leaf window picked by
 v's degree from the upper fields; both kinds of window come from one
@@ -37,9 +36,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-from .bounds import LemmaViolation, _integers, two_colour_lower
+from .bounds import LemmaViolation, two_colour_lower
 from .cliques import verify_enabling
 from .graphs import canonical_json, from_simple_graph, pairs as graph_pairs
+from .lp import _integers
 
 __all__ = ["SearchReport", "exists_enabling", "min_n"]
 
@@ -288,12 +288,6 @@ def exists_enabling(
     cover0 = _cover_table(n, pairs, edges, k1, 0)
     cover1 = _cover_table(n, pairs, edges, k2, 1)
 
-    lanes = sum(1 << (8 * v) for v in range(n))
-    high = lanes << 7
-    over = (127 - maxd) * lanes
-    under = (128 - mind) * lanes
-    lmmax = lmax + mdeg[-1]
-
     nlow = 1 << low
     nmid = 1 << mid
     every = (1 << nlow) - 1
@@ -303,11 +297,7 @@ def exists_enabling(
 
     for t in range(1 << top):
         tdeg = _value_degrees(pairs, low + mid, t)
-        # A shortcut only: a top value this test refuses gets no live block
-        # from the mid windows either, as some vertex's entry there is 0.
-        blocks = 0
-        if not ((tdeg + over) & high or (tdeg + lmmax + under) & high != high):
-            blocks = _pick(mwindows, tdeg, (1 << nmid) - 1)
+        blocks = _pick(mwindows, tdeg, (1 << nmid) - 1)
         # One top value's tables at a time: drop the last ones before the
         # cut.  ~t and ~h mark the edges lacking colour 0.
         live0 = live1 = None

@@ -25,6 +25,14 @@ from enabling.bounds import (
     two_colour_report,
 )
 from enabling.certificates import two_colour_bound
+from enabling.constructions import (
+    integer_extremal_pairs,
+    multicolour_blocks,
+    p4_blowup,
+    prime_slope,
+    two_colour_extremal,
+)
+from enabling.graphs import monochromatic_complete
 
 
 def test_two_colour_lower_known_values():
@@ -298,6 +306,35 @@ def test_an_integer_parameter_is_an_int(slot, bad):
         INTEGER_SLOTS[slot](bad)
 
 
+PUBLIC_INTEGER_SLOTS = {
+    "p4_blowup": p4_blowup,
+    "two_colour_extremal_k1": lambda k: two_colour_extremal(k, 3),
+    "two_colour_extremal_k2": lambda k: two_colour_extremal(3, k),
+    "multicolour_blocks_r": lambda r: multicolour_blocks(r, 3),
+    "multicolour_blocks_k": lambda k: multicolour_blocks(3, k),
+    "prime_slope": prime_slope,
+    "integer_extremal_pairs": integer_extremal_pairs,
+    "monochromatic_complete_n": monochromatic_complete,
+    "monochromatic_complete_r": lambda r: monochromatic_complete(3, r),
+    "monochromatic_complete_colour": lambda c: monochromatic_complete(3, 4, c),
+    "two_colour_lower_k1": lambda k: two_colour_lower(k, 3),
+    "two_colour_lower_k2": lambda k: two_colour_lower(3, k),
+    "two_colour_report_k1": lambda k: two_colour_report(k, 3),
+    "two_colour_report_k2": lambda k: two_colour_report(3, k),
+    "multicolour_report_r": lambda r: multicolour_report(r, 3),
+    "multicolour_report_k": lambda k: multicolour_report(4, k),
+    "max_enabling_level": max_enabling_level,
+}
+
+
+@pytest.mark.parametrize("bad", [3.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("slot", PUBLIC_INTEGER_SLOTS)
+def test_every_public_integer_parameter_refuses_what_is_not_an_int(slot, bad):
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(bad))} is not an int$"):
+        PUBLIC_INTEGER_SLOTS[slot](bad)
+    PUBLIC_INTEGER_SLOTS[slot](4 if slot == "p4_blowup" else 3)
+
+
 def test_ints_and_fractions_keep_their_values():
     assert [MEASURE_SLOTS[s](F(1, 4)) for s in MEASURE_SLOTS] == [
         F(23, 16), F(23, 16), F(3, 8), F(32, 3), F(32, 3)]
@@ -336,6 +373,16 @@ def test_negative_sizes_are_refused():
         max_enabling_level(0)
 
 
+def _bound_cli(*argv, timeout):
+    src = os.path.dirname(os.path.dirname(enabling.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "enabling.cli", "bound", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
 @pytest.mark.parametrize("argv,doc", [
     (["--multicolour", "1000000000", "3"],
      {"exact": None, "lower": 2000000001, "upper": 4000000000,
@@ -366,12 +413,24 @@ def test_negative_sizes_are_refused():
 def test_bound_answers_huge_parameters_in_closed_form(argv, doc):
     # A scan over m or over the part sizes would take minutes here, and a
     # primality test by trial division 5 to 20 s on the prime line.
-    src = os.path.dirname(os.path.dirname(enabling.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    res = subprocess.run(
-        [sys.executable, "-m", "enabling.cli", "bound", *argv],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=5,
-    )
+    res = _bound_cli(*argv, timeout=5)
     assert (res.returncode, res.stderr) == (0, "")
     assert json.loads(res.stdout) == doc
+
+
+def test_bound_on_the_prime_line_refuses_a_k_it_cannot_prove_prime():
+    # k = 2**89 - 1 is prime, but Miller-Rabin to the bases 2..41 proves
+    # primality only below 3.3 * 10**24, and the upper bound rests on it.
+    k = 2**89 - 1
+    res = _bound_cli("--multicolour", str(k + 1), str(k), timeout=30)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith(f"error: cannot prove {k} prime: ")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+def test_bound_on_the_prime_line_answers_for_a_proven_composite_k():
+    k = 2**89 + 1  # divisible by 3
+    res = _bound_cli("--multicolour", str(k + 1), str(k), timeout=30)
+    assert (res.returncode, res.stderr) == (0, "")
+    names = [name for name, _ in json.loads(res.stdout)["provenance"]]
+    assert names == ["pigeonhole", "quadratic_at_2", "block_construction"]

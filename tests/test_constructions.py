@@ -7,6 +7,7 @@ import pytest
 from enabling.bounds import two_colour_lower
 from enabling.cliques import verify_enabling
 from enabling.constructions import (
+    _MR_LIMIT,
     _ceil_two_sqrt,
     _extremal_parts,
     _is_prime,
@@ -281,6 +282,21 @@ def test_is_prime_equals_trial_division_below_two_hundred_thousand():
 ])
 def test_is_prime_refuses_strong_pseudoprimes(p):
     assert not _is_prime(p)
+
+
+@pytest.mark.parametrize("p", [
+    2**89 - 1,  # a Mersenne prime
+    _MR_LIMIT,  # 1287836182261 * 2575672364521, strong pseudoprime to 2..41
+], ids=["M89", "MR_LIMIT"])
+def test_is_prime_raises_from_the_limit_on_when_every_base_passes(p):
+    with pytest.raises(ValueError, match=rf"^cannot prove {p} prime: "):
+        _is_prime(p)
+
+
+@pytest.mark.parametrize("p", [(2**61 - 1) * (2**89 - 1), 2**89 + 1])
+def test_is_prime_proves_composites_from_the_limit_on(p):
+    assert p > _MR_LIMIT
+    assert _is_prime(p) is False
 
 
 def _extremal_parts_by_scan(k1, k2):

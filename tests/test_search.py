@@ -180,7 +180,9 @@ def test_covered_answers_stay_exact_as_the_table_reorders():
 
 def test_mid_windows_keep_exactly_the_blocks_the_lane_test_keeps():
     """For each top value, the AND of the mid windows is the set of mid
-    blocks that pass the per-block packed-lane test the scan used to run."""
+    blocks that pass the per-block packed-lane test the scan used to run,
+    and is empty for each top value that the per-top add-and-mask test,
+    which the scan also used to run, refuses."""
     rng = random.Random(31)
     for _ in range(60):
         n = rng.randint(4, 9)
@@ -202,6 +204,7 @@ def test_mid_windows_keep_exactly_the_blocks_the_lane_test_keeps():
         high = lanes << 7
         over = (127 - maxd) * lanes
         under = (128 - mind) * lanes
+        lmmax = lmax + mdeg[-1]
         for t in {0, (1 << top) - 1, *(rng.randrange(1 << top) for _ in range(6))}:
             tdeg = _value_degrees(plist, low + mid, t)
             expected = 0
@@ -211,6 +214,8 @@ def test_mid_windows_keep_exactly_the_blocks_the_lane_test_keeps():
                     expected |= 1 << h
             got = _pick(mwindows, tdeg, (1 << (1 << mid)) - 1)
             assert got == expected, (n, k1, k2, low, mid, t)
+            if (tdeg + over) & high or (tdeg + lmmax + under) & high != high:
+                assert got == 0, (n, k1, k2, low, mid, t)
 
 
 @pytest.mark.parametrize(
